@@ -1,10 +1,19 @@
 """Exact truth-degree arithmetic and the combination functions of the
 four supported fuzzy logic families.
 
-Degrees are plain ``fractions.Fraction`` values in [0, 1]; equality and
-ordering are exact, there is no epsilon anywhere in this package.
+Degrees are exact rationals in [0, 1]; equality and ordering are exact,
+there is no epsilon anywhere in this package.  At the API a degree is a
+``fractions.Fraction``.  Inside the evaluator every degree of one
+interpretation is held as an integer numerator over one common
+denominator ``d`` (the grid denominator q for an enumerated
+interpretation, the LCM of the degrees' denominators otherwise), so
+a stands for a/d.  Zadeh, Godel and Lukasiewicz are closed on these
+numerators: their operations are integer min, max and clamped sums.
+Product leaves the grid: a*b/d and d*b/a are returned as exact
+``Fraction`` numerators, which compare exactly with the int ones.
 
-Combination functions per family:
+Combination functions per family, on degrees (on numerators, read 1
+as d and a*b as a*b/d):
 
 =============  ==============  ==============  ======================  ============
 family         a (x) b         a (+) b         a |> b                  (-) a
@@ -24,6 +33,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 Degree = Fraction
 
@@ -68,34 +78,93 @@ def as_degree(value: object) -> Degree:
     return d
 
 
+def _over(p, d: int):
+    """p/d exactly: an int when d divides p, else a Fraction."""
+    return p // d if p % d == 0 else Fraction(p, d)
+
+
+def _min(xs: list, ys: list, d: int) -> list:
+    return list(map(min, xs, ys))
+
+
+def _max(xs: list, ys: list, d: int) -> list:
+    return list(map(max, xs, ys))
+
+
+def _complement(xs: list, d: int) -> list:
+    return [d - a for a in xs]
+
+
+def _residual_negation(xs: list, d: int) -> list:
+    return [0 if a else d for a in xs]
+
+
+def _zadeh_implication(xs: list, ys: list, d: int) -> list:
+    return [b if b > d - a else d - a for a, b in zip(xs, ys)]
+
+
+def _godel_implication(xs: list, ys: list, d: int) -> list:
+    return [d if a <= b else b for a, b in zip(xs, ys)]
+
+
+def _lukasiewicz_tnorm(xs: list, ys: list, d: int) -> list:
+    return [a + b - d if a + b > d else 0 for a, b in zip(xs, ys)]
+
+
+def _lukasiewicz_snorm(xs: list, ys: list, d: int) -> list:
+    return [a + b if a + b < d else d for a, b in zip(xs, ys)]
+
+
+def _lukasiewicz_implication(xs: list, ys: list, d: int) -> list:
+    return [d - a + b if a > b else d for a, b in zip(xs, ys)]
+
+
+def _product_tnorm(xs: list, ys: list, d: int) -> list:
+    return [_over(a * b, d) for a, b in zip(xs, ys)]
+
+
+def _product_snorm(xs: list, ys: list, d: int) -> list:
+    return [a + b - _over(a * b, d) for a, b in zip(xs, ys)]
+
+
+def _product_implication(xs: list, ys: list, d: int) -> list:
+    return [d if a <= b else _over(d * b, a) for a, b in zip(xs, ys)]
+
+
+class Connectives(NamedTuple):
+    """One family's combination functions on lists of numerators over a
+    common denominator ``d``, elementwise: ``tnorm(xs, ys, d)`` and so
+    on return a new list and never modify their arguments."""
+
+    tnorm: Callable[[list, list, int], list]
+    snorm: Callable[[list, list, int], list]
+    implication: Callable[[list, list, int], list]
+    negation: Callable[[list, int], list]
+
+
+CONNECTIVES: dict[LogicFamily, Connectives] = {
+    LogicFamily.ZADEH: Connectives(_min, _max, _zadeh_implication, _complement),
+    LogicFamily.GODEL: Connectives(_min, _max, _godel_implication, _residual_negation),
+    LogicFamily.LUKASIEWICZ: Connectives(_lukasiewicz_tnorm, _lukasiewicz_snorm,
+                                         _lukasiewicz_implication, _complement),
+    LogicFamily.PRODUCT: Connectives(_product_tnorm, _product_snorm,
+                                     _product_implication, _residual_negation),
+}
+
+
+# The same tables on single degrees, as Fractions (denominator 1).
+
 def tnorm(logic: LogicFamily, a: Degree, b: Degree) -> Degree:
-    if logic is LogicFamily.ZADEH or logic is LogicFamily.GODEL:
-        return min(a, b)
-    if logic is LogicFamily.LUKASIEWICZ:
-        return max(ZERO, a + b - ONE)
-    return a * b
+    return Fraction(CONNECTIVES[logic].tnorm([a], [b], 1)[0])
 
 
 def snorm(logic: LogicFamily, a: Degree, b: Degree) -> Degree:
-    if logic is LogicFamily.ZADEH or logic is LogicFamily.GODEL:
-        return max(a, b)
-    if logic is LogicFamily.LUKASIEWICZ:
-        return min(ONE, a + b)
-    return a + b - a * b
+    return Fraction(CONNECTIVES[logic].snorm([a], [b], 1)[0])
 
 
 def implication(logic: LogicFamily, a: Degree, b: Degree) -> Degree:
-    if logic is LogicFamily.ZADEH:
-        return max(ONE - a, b)
-    if logic is LogicFamily.GODEL:
-        return ONE if a <= b else b
-    if logic is LogicFamily.LUKASIEWICZ:
-        return min(ONE, ONE - a + b)
-    # Goguen: exact rational division
-    return ONE if a <= b else b / a
+    return Fraction(CONNECTIVES[logic].implication([a], [b], 1)[0])
 
 
 def negation(logic: LogicFamily, a: Degree) -> Degree:
-    if logic is LogicFamily.ZADEH or logic is LogicFamily.LUKASIEWICZ:
-        return ONE - a
-    return ONE if a == ZERO else ZERO
+    return Fraction(CONNECTIVES[logic].negation([a], 1)[0])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from fuzzytyp.algebra import LogicFamily, logic_from_name
@@ -136,8 +137,7 @@ def cmd_check_model(args, out: _Printer) -> int:
     if problems:
         raise KBError("; ".join(str(p) for p in problems))
     logic = _load_logic(args.logic, kb.logic)
-    if logic is not kb.logic:
-        kb.logic = logic
+    kb = replace(kb, logic=logic)
     interp = parse_interpretation(args.interpretation.read_text(), logic, kb)
 
     strict_ok, strict_violations = is_model_strict(interp, kb)
@@ -170,8 +170,7 @@ def cmd_check_model(args, out: _Printer) -> int:
 def cmd_entail(args, out: _Printer) -> int:
     kb = parse_kb(args.kb.read_text())
     logic = _load_logic(args.logic, kb.logic)
-    if logic is not kb.logic:
-        kb.logic = logic
+    kb = replace(kb, logic=logic)
     goal = parse_axiom(args.axiom, kb)
     config = SearchConfig(logic=logic, max_domain_size=args.max_domain,
                           denominator=args.denominator, budget=args.budget,

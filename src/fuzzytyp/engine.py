@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Literal
 
-from fuzzytyp.algebra import LogicFamily
-from fuzzytyp.interpretation import FuzzyInterpretation, is_model_strict, satisfies
+from fuzzytyp.algebra import CONNECTIVES, LogicFamily
+from fuzzytyp.interpretation import FuzzyInterpretation, Program, axiom_value, run
 from fuzzytyp.syntax import (
     ConceptAssertion,
     FuzzyAxiom,
@@ -35,7 +35,7 @@ from fuzzytyp.syntax import (
     concept_names,
     role_names,
 )
-from fuzzytyp.weighted import is_fm_model
+from fuzzytyp.weighted import compile_table, is_faithful_order, scaled_weights
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,46 @@ def count_interpretations(sig: EnumSignature, domain_size: int, denominator: int
     return (denominator + 1) ** entries * n ** len(sig.individuals)
 
 
+def _decode(sig: EnumSignature, n: int, q: int, index: int
+            ) -> tuple[list[list[int]], list[list[list[int]]], dict[str, int]]:
+    """The digits of ``index``: per concept its n grid numerators over q,
+    per role its n rows of n, per individual its element's index."""
+    base = q + 1
+    k = index
+    atoms = []
+    for _ in range(len(sig.concepts) + n * len(sig.roles)):
+        row = []
+        for _ in range(n):
+            k, digit = divmod(k, base)
+            row.append(digit)
+        atoms.append(row)
+    roles = [atoms[len(sig.concepts) + r * n:len(sig.concepts) + (r + 1) * n]
+             for r in range(len(sig.roles))]
+    del atoms[len(sig.concepts):]
+    element = {}
+    for ind in sig.individuals:
+        k, element[ind] = divmod(k, n)
+    if k:
+        raise IndexError(f"index {index} out of range for domain size {n}")
+    return atoms, roles, element
+
+
+def _advance(rows: list[list[int]], element: dict[str, int], n: int, q: int) -> None:
+    """Step decoded digits in place to the next index: the concept rows,
+    then the role rows, then the individuals, first digit fastest."""
+    for row in rows:
+        for i, digit in enumerate(row):
+            if digit < q:
+                row[i] = digit + 1
+                return
+            row[i] = 0
+    for ind, digit in element.items():
+        if digit < n - 1:
+            element[ind] = digit + 1
+            return
+        element[ind] = 0
+
+
 def interpretation_at(sig: EnumSignature, logic: LogicFamily, domain_size: int,
                       denominator: int, index: int) -> FuzzyInterpretation:
     """Decode the interpretation at ``index`` (0-based) of the size-n
@@ -89,33 +129,18 @@ def interpretation_at(sig: EnumSignature, logic: LogicFamily, domain_size: int,
     q = denominator
     dom = domain_elements(n)
     grid = [Fraction(i, q) for i in range(q + 1)]
-    base = q + 1
-    k = index
-
-    concept_val: dict[tuple[str, str], Fraction] = {}
-    for name in sig.concepts:
-        for elem in dom:
-            k, digit = divmod(k, base)
-            if digit:
-                concept_val[(name, elem)] = grid[digit]
-    role_val: dict[tuple[str, str, str], Fraction] = {}
-    for name in sig.roles:
-        for a in dom:
-            for b in dom:
-                k, digit = divmod(k, base)
-                if digit:
-                    role_val[(name, a, b)] = grid[digit]
-    individuals: dict[str, str] = {}
-    for ind in sig.individuals:
-        k, digit = divmod(k, n)
-        individuals[ind] = dom[digit]
-    if k:
-        raise IndexError(f"index {index} out of range for domain size {n}")
-
+    atoms, roles, element = _decode(sig, n, q, index)
     return FuzzyInterpretation(
         logic=logic, domain=dom,
         concept_names=sig.concepts, role_names=sig.roles,
-        concept_val=concept_val, role_val=role_val, individuals=individuals)
+        concept_val={(name, x): grid[digit]
+                     for name, row in zip(sig.concepts, atoms)
+                     for x, digit in zip(dom, row) if digit},
+        role_val={(name, a, b): grid[digit]
+                  for name, rows in zip(sig.roles, roles)
+                  for a, row in zip(dom, rows)
+                  for b, digit in zip(dom, row) if digit},
+        individuals={ind: dom[i] for ind, i in element.items()})
 
 
 def enumerate_interpretations(sig: EnumSignature, config: SearchConfig
@@ -181,35 +206,67 @@ POOL_MIN_SPAN = 4096
 # Predicate descriptor: ("entail", kb, goal, mode) or ("validity", goal).
 # Kept as plain picklable tuples so worker processes can evaluate them.
 
-def _test_one(pred, interp: FuzzyInterpretation) -> tuple[bool, bool]:
-    """Returns (is_model, is_countermodel)."""
-    if pred[0] == "validity":
-        return True, not satisfies(interp, pred[1])
-    _, kb, goal, mode = pred
-    if mode == "fm":
-        report = is_fm_model(interp, kb)
-        if not report.is_fm_model:
-            return False, False
-    else:
-        ok, _ = is_model_strict(interp, kb)
-        if not ok:
-            return False, False
-    return True, not satisfies(interp, goal)
+def _compile_axioms(program: Program, axioms, q: int) -> list[tuple]:
+    """Per axiom: (its code, the node count its evaluation needs, its
+    comparison, its threshold as a numerator over q)."""
+    checks = []
+    for ax in axioms:
+        code = program.add_axiom(ax)
+        t = ax.threshold * q
+        checks.append((code, len(program.nodes), ax.cmp.op,
+                       t.numerator if t.denominator == 1 else t))
+    return checks
 
 
 def _scan_chunk(args) -> tuple[int | None, int, int]:
     """Scan indices [start, stop) of one size block; returns
     (local index of first countermodel or None, indices examined,
-    models seen up to and including that index)."""
+    models seen up to and including that index).
+
+    The KB and the goal are compiled once.  The first index is decoded
+    into grid numerators over q, and each next one is a step of those
+    digits; each is checked on them: the strict part, then, in fm mode,
+    faithfulness, then the goal."""
     sig, logic, n, q, start, stop, pred = args
+    program = Program(sig.concepts, sig.roles)
+    strict: list[tuple] = []
+    tables: list[tuple] = []
+    if pred[0] == "entail":
+        _, kb, goal, mode = pred
+        strict = _compile_axioms(program, kb.all_axioms(), q)
+        if mode == "fm":
+            for name in kb.distinguished:
+                if kb.weighted_inclusions(name):
+                    _, terms = compile_table(program, kb, name)
+                    tables.append((program.concept_slots[name], len(program.nodes), terms))
+    else:
+        goal = pred[1]
+    [(goal_code, goal_end, goal_holds, goal_t)] = _compile_axioms(program, [goal], q)
+    nodes = program.nodes
+    ops = CONNECTIVES[logic]
+
+    atoms, roles, element = _decode(sig, n, q, start)
+    rows = atoms + [row for block in roles for row in block]
     models = 0
     for k in range(start, stop):
-        interp = interpretation_at(sig, logic, n, q, k)
-        is_model, is_counter = _test_one(pred, interp)
-        if is_model:
-            models += 1
-        if is_counter:
-            return k, k - start + 1, models
+        if k > start:
+            _advance(rows, element, n, q)
+        vals: list[list] = []
+        for code, end, holds, t in strict:
+            run(nodes, end, vals, ops, q, n, atoms, roles)
+            if not holds(axiom_value(code, vals, ops, q, roles, element), t):
+                break
+        else:
+            for slot, end, terms in tables:
+                run(nodes, end, vals, ops, q, n, atoms, roles)
+                degrees = atoms[slot]
+                if not is_faithful_order(degrees, scaled_weights(degrees, vals, terms)):
+                    break
+            else:  # a model, an fm-model in fm mode
+                models += 1
+                run(nodes, goal_end, vals, ops, q, n, atoms, roles)
+                if not goal_holds(axiom_value(goal_code, vals, ops, q, roles, element), goal_t):
+                    return k, k - start + 1, models
     return None, stop - start, models
 
 

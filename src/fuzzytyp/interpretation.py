@@ -7,14 +7,27 @@ whose C-degree is maximal among the elements with positive C-degree.
 That is the set of minimal elements of the preference induced by C
 (x is preferred to y iff its C-degree is strictly higher), restricted
 to positive membership.
+
+Evaluation happens in two steps.  ``Program`` compiles concepts once
+into a hash-consed post-order node list, so equal subconcepts share one
+node id and the id is the cache key.  ``run`` evaluates the nodes over
+per-element lists of numerators over one denominator d, with the
+family's ``Connectives`` (see ``algebra``).  The bounded search engine
+runs a program directly on decoded grid digits (d = q); an interpretation
+object runs one on its own degrees scaled by their common denominator.
+Fractions appear only at the API, in the degrees returned below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from types import MappingProxyType
+from typing import Mapping
 
-from fuzzytyp.algebra import Degree, LogicFamily, ONE, ZERO, implication, negation, snorm, tnorm
+from fuzzytyp.algebra import CONNECTIVES, Connectives, Degree, LogicFamily, ZERO
 from fuzzytyp.syntax import (
     And,
     Atomic,
@@ -36,28 +49,190 @@ from fuzzytyp.syntax import (
     contains_typ,
 )
 
+# Node opcodes.  A node is (op, a, b): for NOT/TYP ``a`` and for AND/OR
+# ``a`` and ``b`` are ids of earlier nodes; for ATOM ``a`` is a concept
+# slot; for SOME/ALL ``a`` is a role slot and ``b`` the filler's id.
+ATOM, AND, OR, NOT, SOME, ALL, TYP, TOP, BOT = range(9)
 
-@dataclass
+# Compiled axioms are (kind, a, b): (INCLUSION, lhs id, rhs id),
+# (CONCEPT_ASSERTION, concept id, individual),
+# (ROLE_ASSERTION, role slot, (subject, object)).
+INCLUSION, CONCEPT_ASSERTION, ROLE_ASSERTION = range(3)
+
+
+class Program:
+    """Concepts over a fixed signature, compiled into one hash-consed
+    post-order node list: every node comes after its children, and
+    structurally equal subconcepts are one node."""
+
+    def __init__(self, concept_names: tuple[str, ...], role_names: tuple[str, ...]):
+        self.concept_slots = {name: i for i, name in enumerate(concept_names)}
+        self.role_slots = {name: i for i, name in enumerate(role_names)}
+        self.nodes: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
+
+    def _role(self, name: str) -> int:
+        slot = self.role_slots.get(name)
+        if slot is None:
+            raise UndeclaredNameError(f"undeclared role name {name!r}")
+        return slot
+
+    def add(self, concept: Concept) -> int:
+        """Node id of ``concept``, compiling whatever is new of it."""
+        kind = type(concept)
+        if kind is Atomic:
+            slot = self.concept_slots.get(concept.name)
+            if slot is None:
+                raise UndeclaredNameError(f"undeclared concept name {concept.name!r}")
+            key = (ATOM, slot, 0)
+        elif kind is And:
+            key = (AND, self.add(concept.left), self.add(concept.right))
+        elif kind is Or:
+            key = (OR, self.add(concept.left), self.add(concept.right))
+        elif kind is Not:
+            key = (NOT, self.add(concept.sub), 0)
+        elif kind is Exists:
+            key = (SOME, self._role(concept.role), self.add(concept.filler))
+        elif kind is Forall:
+            key = (ALL, self._role(concept.role), self.add(concept.filler))
+        elif kind is Typ:
+            key = (TYP, self.add(concept.sub), 0)
+        elif kind is Top:
+            key = (TOP, 0, 0)
+        elif kind is Bottom:
+            key = (BOT, 0, 0)
+        else:
+            raise TypeError(f"not a concept: {concept!r}")
+        node = self._ids.get(key)
+        if node is None:
+            node = self._ids[key] = len(self.nodes)
+            self.nodes.append(key)
+        return node
+
+    def add_axiom(self, axiom: FuzzyAxiom) -> tuple:
+        """Compile an axiom's concepts; returns its (kind, a, b) code."""
+        if isinstance(axiom, Inclusion):
+            return INCLUSION, self.add(axiom.lhs), self.add(axiom.rhs)
+        if isinstance(axiom, ConceptAssertion):
+            return CONCEPT_ASSERTION, self.add(axiom.concept), axiom.individual
+        if isinstance(axiom, RoleAssertion):
+            return ROLE_ASSERTION, self._role(axiom.role), (axiom.subject, axiom.object)
+        raise TypeError(f"not an axiom: {axiom!r}")
+
+
+def run(nodes: list[tuple], stop: int, vals: list[list], ops: Connectives, d: int, n: int,
+        atoms: list[list], roles: list[list[list]]) -> None:
+    """Evaluate ``nodes[len(vals):stop]``, appending each node's list of
+    numerators over ``d``, one per element of the n-element domain.
+    ``atoms[slot]`` holds a concept name's numerators, ``roles[slot][x]``
+    the numerators of a role name's pairs (x, y) for every y."""
+    tnorm, snorm, implication, negation = ops
+    for i in range(len(vals), stop):
+        op, a, b = nodes[i]
+        if op == ATOM:
+            v = atoms[a]
+        elif op == AND:
+            v = tnorm(vals[a], vals[b], d)
+        elif op == OR:
+            v = snorm(vals[a], vals[b], d)
+        elif op == NOT:
+            v = negation(vals[a], d)
+        elif op == SOME:
+            filler = vals[b]
+            v = [max(tnorm(row, filler, d)) for row in roles[a]]
+        elif op == ALL:
+            filler = vals[b]
+            v = [min(implication(row, filler, d)) for row in roles[a]]
+        elif op == TYP:
+            sub = vals[a]
+            top = max(sub)
+            v = [d if x == top else 0 for x in sub] if top > 0 else [0] * n
+        elif op == TOP:
+            v = [d] * n
+        else:
+            v = [0] * n
+        vals.append(v)
+
+
+def axiom_value(code: tuple, vals: list[list], ops: Connectives, d: int,
+                roles: list[list[list]], element: Mapping[str, int]):
+    """Numerator over ``d`` of a compiled axiom's degree; its nodes must
+    be evaluated.  ``element`` maps an individual to its element index."""
+    kind, a, b = code
+    if kind == INCLUSION:
+        return min(ops.implication(vals[a], vals[b], d))
+    if kind == CONCEPT_ASSERTION:
+        return vals[a][element[b]]
+    return roles[a][element[b[0]]][element[b[1]]]
+
+
+class _Kernel:
+    """An interpretation's degrees as numerators over their common
+    denominator, and every concept evaluated on them so far."""
+
+    def __init__(self, interp: FuzzyInterpretation):
+        cv, rv = interp.concept_val, interp.role_val
+        self.d = d = lcm(*(v.denominator for v in cv.values()),
+                         *(v.denominator for v in rv.values()))
+        dom = interp.domain
+        self.n = len(dom)
+        self.index = {x: i for i, x in enumerate(dom)}
+        self.atoms = [[cv[k].numerator * (d // cv[k].denominator) if (k := (name, x)) in cv
+                       else 0 for x in dom] for name in interp.concept_names]
+        self.roles = [[[rv[k].numerator * (d // rv[k].denominator) if (k := (name, x, y)) in rv
+                        else 0 for y in dom] for x in dom] for name in interp.role_names]
+        self.element = {ind: self.index[x] for ind, x in interp.individuals.items()
+                        if x in self.index}
+        self.ops = CONNECTIVES[interp.logic]
+        self.program = Program(interp.concept_names, interp.role_names)
+        self.vals: list[list] = []
+
+    def evaluate(self) -> list[list]:
+        """Evaluate every node compiled so far; returns the node values."""
+        run(self.program.nodes, len(self.program.nodes), self.vals, self.ops, self.d,
+            self.n, self.atoms, self.roles)
+        return self.vals
+
+    def values(self, concept: Concept) -> list:
+        node = self.program.add(concept)
+        return self.evaluate()[node]
+
+    def degree(self, numerator) -> Fraction:
+        return Fraction(numerator, self.d)
+
+
+@dataclass(frozen=True)
 class FuzzyInterpretation:
     """Immutable finite fuzzy interpretation.
 
     Valuations are total over the declared signature; entries missing
-    from the dicts default to degree 0.
+    from the mappings default to degree 0.  The mappings are read-only
+    copies of the ones given; degrees are Fractions (or ints).
     """
 
     logic: LogicFamily
     domain: tuple[str, ...]
     concept_names: tuple[str, ...]
     role_names: tuple[str, ...] = ()
-    concept_val: dict[tuple[str, str], Fraction] = field(default_factory=dict)
-    role_val: dict[tuple[str, str, str], Fraction] = field(default_factory=dict)
-    individuals: dict[str, str] = field(default_factory=dict)
-    _cache: dict[Concept, dict[str, Fraction]] = field(
-        default_factory=dict, repr=False, compare=False)
+    concept_val: Mapping[tuple[str, str], Fraction] = field(default_factory=dict)
+    role_val: Mapping[tuple[str, str, str], Fraction] = field(default_factory=dict)
+    individuals: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.domain:
             raise ValueError("domain must be nonempty")
+        for name in ("concept_val", "role_val", "individuals"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
+    def __reduce__(self):
+        # read-only mappings do not pickle; rebuild from plain copies
+        return (FuzzyInterpretation, (self.logic, self.domain, self.concept_names,
+                                      self.role_names, dict(self.concept_val),
+                                      dict(self.role_val), dict(self.individuals)))
+
+    @cached_property
+    def _kernel(self) -> _Kernel:
+        return _Kernel(self)
 
     def concept_degree(self, name: str, elem: str) -> Degree:
         if name not in self.concept_names:
@@ -76,66 +251,12 @@ class FuzzyInterpretation:
             raise UndeclaredNameError(f"unbound individual {individual!r}") from None
 
 
-def _eval_all(interp: FuzzyInterpretation, concept: Concept) -> dict[str, Fraction]:
-    """Degree of every domain element in ``concept`` (cached per concept)."""
-    cached = interp._cache.get(concept)
-    if cached is not None:
-        return cached
-    logic = interp.logic
-    dom = interp.domain
-    if isinstance(concept, Atomic):
-        if concept.name not in interp.concept_names:
-            raise UndeclaredNameError(f"undeclared concept name {concept.name!r}")
-        vals = {x: interp.concept_val.get((concept.name, x), ZERO) for x in dom}
-    elif isinstance(concept, Top):
-        vals = {x: ONE for x in dom}
-    elif isinstance(concept, Bottom):
-        vals = {x: ZERO for x in dom}
-    elif isinstance(concept, Not):
-        sub = _eval_all(interp, concept.sub)
-        vals = {x: negation(logic, sub[x]) for x in dom}
-    elif isinstance(concept, And):
-        left = _eval_all(interp, concept.left)
-        right = _eval_all(interp, concept.right)
-        vals = {x: tnorm(logic, left[x], right[x]) for x in dom}
-    elif isinstance(concept, Or):
-        left = _eval_all(interp, concept.left)
-        right = _eval_all(interp, concept.right)
-        vals = {x: snorm(logic, left[x], right[x]) for x in dom}
-    elif isinstance(concept, Exists):
-        if concept.role not in interp.role_names:
-            raise UndeclaredNameError(f"undeclared role name {concept.role!r}")
-        filler = _eval_all(interp, concept.filler)
-        rv = interp.role_val
-        vals = {x: max(tnorm(logic, rv.get((concept.role, x, y), ZERO), filler[y])
-                       for y in dom)
-                for x in dom}
-    elif isinstance(concept, Forall):
-        if concept.role not in interp.role_names:
-            raise UndeclaredNameError(f"undeclared role name {concept.role!r}")
-        filler = _eval_all(interp, concept.filler)
-        rv = interp.role_val
-        vals = {x: min(implication(logic, rv.get((concept.role, x, y), ZERO), filler[y])
-                       for y in dom)
-                for x in dom}
-    elif isinstance(concept, Typ):
-        sub = _eval_all(interp, concept.sub)
-        top = max(sub.values())
-        if top > ZERO:
-            vals = {x: ONE if sub[x] == top else ZERO for x in dom}
-        else:
-            vals = {x: ZERO for x in dom}
-    else:
-        raise TypeError(f"not a concept: {concept!r}")
-    interp._cache[concept] = vals
-    return vals
-
-
 def eval_concept(interp: FuzzyInterpretation, concept: Concept, elem: str) -> Degree:
     """Membership degree of ``elem`` in ``concept``."""
     if elem not in interp.domain:
         raise UndeclaredNameError(f"element {elem!r} not in domain")
-    return _eval_all(interp, concept)[elem]
+    k = interp._kernel
+    return k.degree(k.values(concept)[k.index[elem]])
 
 
 @dataclass(frozen=True)
@@ -170,7 +291,7 @@ class InducedPreference:
 
 
 def induced_preference(interp: FuzzyInterpretation, concept: Concept) -> InducedPreference:
-    vals = _eval_all(interp, concept)
+    vals = dict(zip(interp.domain, interp._kernel.values(concept)))
     pairs = frozenset((x, y) for x in interp.domain for y in interp.domain
                       if vals[x] > vals[y])
     return InducedPreference(concept, interp.domain, pairs)
@@ -183,28 +304,22 @@ def typical_elements(interp: FuzzyInterpretation, concept: Concept) -> set[str]:
         concept = concept.sub
     if contains_typ(concept):
         raise NestedTypicalityError("typicality operator may not be nested")
-    vals = _eval_all(interp, concept)
-    top = max(vals.values())
-    if top == ZERO:
+    vals = interp._kernel.values(concept)
+    top = max(vals)
+    if top == 0:
         return set()
-    return {x for x, d in vals.items() if d == top}
+    return {x for x, v in zip(interp.domain, vals) if v == top}
 
 
 def axiom_degree(interp: FuzzyInterpretation, axiom: FuzzyAxiom) -> Degree:
     """Degree of an inclusion (inf of pointwise implications) or of an
     assertion (membership at the named individual / role pair)."""
-    if isinstance(axiom, Inclusion):
-        lhs = _eval_all(interp, axiom.lhs)
-        rhs = _eval_all(interp, axiom.rhs)
-        return min(implication(interp.logic, lhs[x], rhs[x]) for x in interp.domain)
-    if isinstance(axiom, ConceptAssertion):
-        elem = interp.element_of(axiom.individual)
-        return eval_concept(interp, axiom.concept, elem)
-    if isinstance(axiom, RoleAssertion):
-        a = interp.element_of(axiom.subject)
-        b = interp.element_of(axiom.object)
-        return interp.role_degree(axiom.role, a, b)
-    raise TypeError(f"not an axiom: {axiom!r}")
+    k = interp._kernel
+    code = k.program.add_axiom(axiom)
+    try:
+        return k.degree(axiom_value(code, k.evaluate(), k.ops, k.d, k.roles, k.element))
+    except KeyError as exc:
+        raise UndeclaredNameError(f"unbound individual {exc.args[0]!r}") from None
 
 
 def satisfies(interp: FuzzyInterpretation, axiom: FuzzyAxiom) -> bool:

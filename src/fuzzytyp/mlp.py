@@ -26,6 +26,7 @@ virtual input unit.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -37,6 +38,7 @@ from fuzzytyp.syntax import (
     KBSyntaxError,
     WeightedKB,
     WeightedTypicalityInclusion,
+    parse_number,
 )
 from fuzzytyp.weighted import FmModelReport, is_fm_model, weight_table
 
@@ -224,10 +226,11 @@ def verify_network_faithfulness(net: FeedForwardNet, stimuli: StimulusSet,
 # --------------------------------------------------------------------------
 
 def _lines(text: str):
+    """(line number, words, 1-based column of each word) per nonblank line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            yield lineno, body.split()
+        found = list(re.finditer(r"\S+", raw.split("#", 1)[0]))
+        if found:
+            yield lineno, [m.group() for m in found], [m.start() + 1 for m in found]
 
 
 def unit_name(layer: int, index: int) -> str:
@@ -249,7 +252,7 @@ def parse_net(text: str) -> FeedForwardNet:
     bias: str | None = None
     synapse_rows: list[tuple[str, str, Fraction]] = []
 
-    for lineno, words in _lines(text):
+    for lineno, words, cols in _lines(text):
         key = words[0]
         if key == "layers":
             if sizes is not None:
@@ -275,11 +278,7 @@ def parse_net(text: str) -> FeedForwardNet:
         elif key == "synapse":
             if len(words) != 4:
                 raise KBSyntaxError("synapse <from> <to> <weight>", lineno, 1)
-            try:
-                w = Fraction(words[3].lstrip("+"))
-            except ValueError:
-                raise KBSyntaxError(f"bad weight {words[3]!r}", lineno, 1) from None
-            synapse_rows.append((words[1], words[2], w))
+            synapse_rows.append((words[1], words[2], parse_number(words[3], lineno, cols[3])))
         else:
             raise KBSyntaxError(f"unknown line kind {key!r}", lineno, 1)
 
@@ -323,14 +322,17 @@ def parse_stimuli(text: str) -> StimulusSet:
     """Stimulus list: one ``stimulus <name> <component>+`` line each."""
     names: list[str] = []
     vectors: list[tuple[Fraction, ...]] = []
-    for lineno, words in _lines(text):
+    for lineno, words, cols in _lines(text):
         if words[0] != "stimulus" or len(words) < 3:
             raise KBSyntaxError("stimulus <name> <component>+", lineno, 1)
         names.append(words[1])
-        try:
-            vectors.append(tuple(as_degree(w) for w in words[2:]))
-        except ValueError as exc:
-            raise KBSyntaxError(str(exc), lineno, 1) from None
+        vector = []
+        for w, col in zip(words[2:], cols[2:]):
+            try:
+                vector.append(as_degree(parse_number(w, lineno, col)))
+            except ValueError as exc:
+                raise KBSyntaxError(str(exc), lineno, col) from None
+        vectors.append(tuple(vector))
     try:
         return StimulusSet(tuple(names), tuple(vectors))
     except NetError as exc:

@@ -58,7 +58,6 @@ from fuzzytyp.syntax import (
     Not,
     Or,
     RoleAssertion,
-    ThresholdRangeError,
     TOP,
     Typ,
     UndeclaredNameError,
@@ -66,7 +65,7 @@ from fuzzytyp.syntax import (
     WeightedTypicalityInclusion,
     contains_typ,
     parse_degree,
-    parse_weight,
+    parse_number,
 )
 
 _TOKEN_RE = re.compile(
@@ -222,10 +221,7 @@ def _parse_concept_expr(ts: _TokenStream, sig: _Signature) -> Concept:
 
 def _parse_threshold(ts: _TokenStream) -> Fraction:
     tok = ts.expect_number("threshold in [0, 1]")
-    try:
-        return parse_degree(tok.text)
-    except ThresholdRangeError as exc:
-        raise ThresholdRangeError(str(exc), tok.line, tok.col) from None
+    return parse_degree(tok.text, tok.line, tok.col)
 
 
 def _parse_inclusion(ts: _TokenStream, sig: _Signature) -> Inclusion:
@@ -291,7 +287,8 @@ def _parse_weighted_line(ts: _TokenStream, sig: _Signature, subject: str
     ts.expect_sym("@")
     w_tok = ts.expect_number("weight")
     ts.expect_end()
-    return WeightedTypicalityInclusion(subject, consequent, parse_weight(w_tok.text))
+    return WeightedTypicalityInclusion(subject, consequent,
+                                       parse_number(w_tok.text, w_tok.line, w_tok.col))
 
 
 def _parse_names(ts: _TokenStream, what: str) -> list[str]:
@@ -526,10 +523,7 @@ def parse_interpretation(text: str, logic: LogicFamily,
             if key in concept_val:
                 raise KBSyntaxError(f"duplicate entry for {name.text}({elem})",
                                     name.line, name.col)
-            try:
-                concept_val[key] = parse_degree(deg_tok.text)
-            except ThresholdRangeError as exc:
-                raise ThresholdRangeError(str(exc), deg_tok.line, deg_tok.col) from None
+            concept_val[key] = parse_degree(deg_tok.text, deg_tok.line, deg_tok.col)
             seen_concepts.add(name.text)
         elif head.text == "role":
             name = ts.expect_ident("role name")
@@ -544,10 +538,7 @@ def parse_interpretation(text: str, logic: LogicFamily,
             if key in role_val:
                 raise KBSyntaxError(f"duplicate entry for {name.text}({a},{b})",
                                     name.line, name.col)
-            try:
-                role_val[key] = parse_degree(deg_tok.text)
-            except ThresholdRangeError as exc:
-                raise ThresholdRangeError(str(exc), deg_tok.line, deg_tok.col) from None
+            role_val[key] = parse_degree(deg_tok.text, deg_tok.line, deg_tok.col)
             seen_roles.add(name.text)
         elif head.text == "individual":
             name = ts.expect_ident("individual name")

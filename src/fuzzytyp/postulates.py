@@ -43,6 +43,7 @@ from fuzzytyp.syntax import (
     Exists,
     Forall,
     Inclusion,
+    KBError,
     Not,
     Or,
     TOP,
@@ -485,8 +486,10 @@ def _force_toward_engagement(rng: random.Random, interp: FuzzyInterpretation,
         assert isinstance(premise.lhs, Typ)
         try:
             typicals = typical_elements(interp, premise.lhs.sub)
-        except Exception:
+        except KBError:
             continue
+        # domain order, so that the draws do not depend on set order
+        typicals = [elem for elem in interp.domain if elem in typicals]
         if premise.cmp is Cmp.GE and premise.threshold == ONE:
             targets = {elem: ONE for elem in typicals}
         else:

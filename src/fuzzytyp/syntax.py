@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from fuzzytyp.algebra import Degree, LogicFamily, as_degree
 
@@ -170,6 +170,11 @@ class Cmp(Enum):
 
     def apply(self, degree: Degree, threshold: Degree) -> bool:
         return _CMP_FUNCS[self](degree, threshold)
+
+    @property
+    def op(self) -> Callable[[object, object], bool]:
+        """The comparison as a plain function of (degree, threshold)."""
+        return _CMP_FUNCS[self]
 
     def __str__(self) -> str:
         return self.value
@@ -362,13 +367,19 @@ def validate_kb(kb: WeightedKB) -> list[Violation]:
     return out
 
 
-def parse_weight(text: str) -> Fraction:
-    """Exact conversion of a signed decimal or p/q literal."""
-    return Fraction(text.lstrip("+"))
-
-
-def parse_degree(text: str) -> Degree:
+def parse_number(text: str, line: int | None = None, col: int | None = None) -> Fraction:
+    """Exact value of a signed decimal or p/q literal (every number of
+    every input format is read here).  A malformed literal or a zero
+    denominator is a KBSyntaxError at ``line``, ``col``."""
     try:
-        return as_degree(text.lstrip("+"))
+        return Fraction(text.lstrip("+"))
+    except (ValueError, ZeroDivisionError):
+        raise KBSyntaxError(f"bad number {text!r}", line, col) from None
+
+
+def parse_degree(text: str, line: int | None = None, col: int | None = None) -> Degree:
+    """A number literal that must lie in [0, 1]."""
+    try:
+        return as_degree(parse_number(text, line, col))
     except ValueError as exc:
-        raise ThresholdRangeError(str(exc)) from None
+        raise ThresholdRangeError(str(exc), line, col) from None

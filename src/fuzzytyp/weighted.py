@@ -13,16 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from fuzzytyp.algebra import ZERO
 from fuzzytyp.interpretation import (
     FuzzyInterpretation,
+    Program,
     StrictViolation,
-    _eval_all,
     is_model_strict,
 )
-from fuzzytyp.syntax import WeightedKB
+from fuzzytyp.syntax import UndeclaredNameError, WeightedKB
 
 #: Bottom of the extended weight order.  Compares strictly below every
 #: Fraction; NEG_INF > NEG_INF is false, so two non-members never form a
@@ -30,6 +31,49 @@ from fuzzytyp.syntax import WeightedKB
 NEG_INF = float("-inf")
 
 ExtendedWeight = Union[Fraction, float]
+
+
+def compile_table(program: Program, kb: WeightedKB, name: str
+                  ) -> tuple[int, list[tuple[int, int]]]:
+    """A distinguished concept's weighted table compiled into
+    ``program``: the scale L, the LCM of the weights' denominators, and
+    one (consequent node, integer weight times L) term per inclusion."""
+    inclusions = kb.weighted_inclusions(name)
+    scale = lcm(*(incl.weight.denominator for incl in inclusions))
+    return scale, [(program.add(incl.consequent), int(incl.weight * scale))
+                   for incl in inclusions]
+
+
+def scaled_weights(degrees: list, vals: list[list], terms: list[tuple[int, int]]) -> list:
+    """Weights of every element from numerators over d: its weight times
+    L*d for an element of positive degree, NEG_INF for the others.  The
+    scaling keeps the weights' order."""
+    return [sum(w * vals[node][x] for node, w in terms) if degree else NEG_INF
+            for x, degree in enumerate(degrees)]
+
+
+def is_faithful_order(degrees: list, weights: list) -> bool:
+    """Does every strictly higher degree come with a strictly higher
+    weight?"""
+    return all(wx > wy for dx, wx in zip(degrees, weights)
+               for dy, wy in zip(degrees, weights) if dx > dy)
+
+
+def _scaled_table(interp: FuzzyInterpretation, kb: WeightedKB, name: str
+                  ) -> tuple[list, list, int]:
+    """(degree numerators, scaled weights, weight denominator L*d) of
+    every domain element for one distinguished concept."""
+    k = interp._kernel
+    slot = k.program.concept_slots.get(name)
+    if slot is None:
+        raise UndeclaredNameError(f"undeclared concept name {name!r}")
+    scale, terms = compile_table(k.program, kb, name)
+    degrees = k.atoms[slot]
+    return degrees, scaled_weights(degrees, k.evaluate(), terms), scale * k.d
+
+
+def _weight(scaled, denominator: int) -> ExtendedWeight:
+    return scaled if scaled is NEG_INF else Fraction(scaled, denominator)
 
 
 def weight(interp: FuzzyInterpretation, kb: WeightedKB, concept_name: str,
@@ -42,18 +86,19 @@ def weight(interp: FuzzyInterpretation, kb: WeightedKB, concept_name: str,
         raise ValueError(f"{concept_name!r} is not a distinguished concept")
     if interp.concept_degree(concept_name, elem) == ZERO:
         return NEG_INF
-    total = Fraction(0)
-    for incl in kb.weighted_inclusions(concept_name):
-        total += incl.weight * _eval_all(interp, incl.consequent)[elem]
-    return total
+    _, weights, denominator = _scaled_table(interp, kb, concept_name)
+    return _weight(weights[interp._kernel.index[elem]], denominator)
 
 
 def weight_table(interp: FuzzyInterpretation, kb: WeightedKB
                  ) -> dict[tuple[str, str], ExtendedWeight]:
     """All weights, keyed by (distinguished concept, element)."""
-    return {(name, x): weight(interp, kb, name, x)
-            for name in kb.distinguished
-            for x in interp.domain}
+    table = {}
+    for name in kb.distinguished:
+        _, weights, denominator = _scaled_table(interp, kb, name)
+        for x, w in zip(interp.domain, weights):
+            table[(name, x)] = _weight(w, denominator)
+    return table
 
 
 @dataclass(frozen=True)
@@ -81,26 +126,27 @@ class PreferenceWeightViolation:
 def _scan_pairs(interp: FuzzyInterpretation, kb: WeightedKB, check_converse: bool
                 ) -> list[PreferenceWeightViolation]:
     violations: list[PreferenceWeightViolation] = []
+    d = interp._kernel.d
     for name in kb.distinguished:
         # a concept listed as distinguished but owning no weighted
         # inclusions constrains nothing: all its members would weigh 0,
         # so any strict membership preference would be unmatchable
         if not kb.weighted_inclusions(name):
             continue
-        degrees = {x: interp.concept_degree(name, x) for x in interp.domain}
-        weights = {x: weight(interp, kb, name, x) for x in interp.domain}
-        for x in interp.domain:
-            for y in interp.domain:
-                preferred = degrees[x] > degrees[y]
-                heavier = weights[x] > weights[y]
+        degrees, weights, denominator = _scaled_table(interp, kb, name)
+        for i, x in enumerate(interp.domain):
+            for j, y in enumerate(interp.domain):
+                preferred = degrees[i] > degrees[j]
+                heavier = weights[i] > weights[j]
                 if preferred and not heavier:
-                    violations.append(PreferenceWeightViolation(
-                        "faithfulness", name, x, y,
-                        degrees[x], degrees[y], weights[x], weights[y]))
+                    kind = "faithfulness"
                 elif check_converse and heavier and not preferred:
-                    violations.append(PreferenceWeightViolation(
-                        "coherence", name, x, y,
-                        degrees[x], degrees[y], weights[x], weights[y]))
+                    kind = "coherence"
+                else:
+                    continue
+                violations.append(PreferenceWeightViolation(
+                    kind, name, x, y, Fraction(degrees[i], d), Fraction(degrees[j], d),
+                    _weight(weights[i], denominator), _weight(weights[j], denominator)))
     return violations
 
 

@@ -1,10 +1,14 @@
 """End-to-end CLI tests: exit codes, record-format determinism, and the
 round trip of emitted countermodels back through check-model."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from fuzzytyp.algebra import LogicFamily
 from fuzzytyp.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -193,3 +197,69 @@ class TestParse:
         bad.write_text("concepts A\n")
         code, _ = run(capsys, "parse", str(bad))
         assert code == 2
+
+
+class TestZeroDenominators:
+    """A zero denominator is an input error (exit 2) in every format,
+    reported with its line and column, never a crash."""
+
+    FNET = "layers 1 1\nactivation 1 step\nsynapse u0_0 u1_0 1/0\n"
+    GOOD_NET = "layers 1 1\nactivation 1 step\nsynapse u0_0 u1_0 1\n"
+
+    @pytest.mark.parametrize("case", ["fkb-weight", "fkb-threshold", "fint-degree",
+                                      "fnet-weight", "stimulus"])
+    def test_exit_2(self, capsys, tmp_path, case):
+        kb = (DATA / "penguin.fkb").read_text()
+        fint = (DATA / "penguin.fint").read_text()
+        if case == "fkb-weight":
+            argv = ["parse", self._write(tmp_path, "kb.fkb", kb.replace("@ 20", "@ 1/0"))]
+        elif case == "fkb-threshold":
+            bad = kb.replace("(and Yellow Black) <= Bot >= 1", "(and Yellow Black) <= Bot >= 1/0")
+            argv = ["parse", self._write(tmp_path, "kb.fkb", bad)]
+        elif case == "fint-degree":
+            bad = fint.replace("concept Penguin reddy 0.2", "concept Penguin reddy 1/0")
+            argv = ["check-model", PENGUIN_KB, self._write(tmp_path, "i.fint", bad)]
+        elif case == "fnet-weight":
+            argv = ["mlp", self._write(tmp_path, "net.fnet", self.FNET),
+                    self._write(tmp_path, "net.stim", "stimulus s0 1\n")]
+        else:
+            argv = ["mlp", self._write(tmp_path, "net.fnet", self.GOOD_NET),
+                    self._write(tmp_path, "net.stim", "stimulus s0 1/0\n")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "1/0" in err and "line" in err and "col" in err
+
+    @staticmethod
+    def _write(tmp_path, name: str, text: str) -> str:
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+
+def test_logic_override_leaves_the_parsed_kb_alone(capsys, monkeypatch):
+    import fuzzytyp.cli as cli
+    kb = cli.parse_kb((DATA / "penguin.fkb").read_text())
+    monkeypatch.setattr(cli, "parse_kb", lambda text: kb)
+    run(capsys, "entail", PENGUIN_KB, "Fly <= Bird >= 1", "--logic", "zadeh",
+        "--max-domain", "1", "--budget", "5")
+    run(capsys, "check-model", PENGUIN_KB, PENGUIN_INT, "--logic", "lukasiewicz")
+    assert kb.logic is LogicFamily.GODEL
+
+
+def test_klm_records_do_not_depend_on_the_hash_seed():
+    """The forcing step draws one value per typical element; set order
+    of element names must not decide which element gets which draw."""
+    argv = [sys.executable, "-m", "fuzzytyp.cli", "--format", "records", "klm-test",
+            "--postulate", "AND0", "--logic", "zadeh", "--mode", "verify",
+            "--trials", "500", "--seed", "3", "--max-domain", "5",
+            "--denominator", "6", "--depth", "2"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

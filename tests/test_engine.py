@@ -1,6 +1,7 @@
 """Enumeration counting, determinism, refutation soundness, budgets,
 and worker-pool equivalence."""
 
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -27,12 +28,20 @@ from fuzzytyp.syntax import (
     Atomic,
     BOTTOM,
     Cmp,
+    ConceptAssertion,
+    Exists,
+    Forall,
     Inclusion,
+    Not,
+    Or,
+    RoleAssertion,
     TOP,
     Typ,
     WeightedKB,
+    WeightedTypicalityInclusion,
 )
 from fuzzytyp.weighted import is_fm_model
+from oracle import ref_scan
 
 DATA = Path(__file__).parent / "data"
 GODEL = LogicFamily.GODEL
@@ -255,3 +264,65 @@ class TestWorkerPool:
             logic=GODEL, max_domain_size=2, denominator=2, jobs=2))
         assert isinstance(seq, NoCountermodel) and isinstance(par, NoCountermodel)
         assert seq.stats == par.stats
+
+
+def _random_concept(rng: random.Random, depth: int, typ: bool = True):
+    if depth == 0 or rng.random() < 0.35:
+        return rng.choice([A, B, TOP, BOTTOM])
+    op = rng.choice(["not", "and", "or", "some", "all"] + (["typ"] if typ else []))
+    if op == "typ":
+        return Typ(_random_concept(rng, depth - 1, typ=False))
+    if op == "not":
+        return Not(_random_concept(rng, depth - 1, typ))
+    if op in ("and", "or"):
+        pair = (_random_concept(rng, depth - 1, typ), _random_concept(rng, depth - 1, typ))
+        return And(*pair) if op == "and" else Or(*pair)
+    filler = _random_concept(rng, depth - 1, typ)
+    return Exists("r", filler) if op == "some" else Forall("r", filler)
+
+
+def _random_axiom(rng: random.Random):
+    cmp = rng.choice([Cmp.GE, Cmp.GE, Cmp.GT, Cmp.LE])
+    t = F(rng.randint(0, 2), 2)
+    kind = rng.random()
+    if kind < 0.6:
+        return Inclusion(_random_concept(rng, 2), _random_concept(rng, 2), cmp, t)
+    if kind < 0.85:
+        return ConceptAssertion(_random_concept(rng, 2), "a", cmp, t)
+    return RoleAssertion("r", "a", "a", cmp, t)
+
+
+def test_scan_matches_brute_force_oracle():
+    """Verdict, examined, models and the countermodel agree with a
+    brute-force scan of the oracle, in plain and fm mode, on random
+    small KBs with a role and an individual; half the goals are axioms
+    of the KB, so those scans run to completion or to the budget."""
+    rng = random.Random(2024)
+    for case in range(40):
+        logic = rng.choice(list(LogicFamily))
+        axioms = [_random_axiom(rng) for _ in range(rng.randint(0, 2))]
+        table = tuple(WeightedTypicalityInclusion(
+            "A", _random_concept(rng, 1, typ=False), F(rng.randint(-5, 5), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 2)))
+        kb = WeightedKB(logic=logic, concepts=("A", "B"), roles=("r",), individuals=("a",),
+                        distinguished=("A",),
+                        tbox=tuple(ax for ax in axioms if isinstance(ax, Inclusion)),
+                        abox=tuple(ax for ax in axioms if not isinstance(ax, Inclusion)),
+                        wtbox={"A": table})
+        goal = rng.choice(axioms) if axioms and case % 2 else _random_axiom(rng)
+        q = rng.choice([1, 2, 3])
+        for mode in ("plain", "fm"):
+            config = SearchConfig(logic=logic, max_domain_size=2, denominator=q,
+                                  budget=600, mode=mode)
+            verdict = check_entailment_bounded(kb, goal, config)
+            cm, examined, models, truncated = ref_scan(
+                kb, goal, logic, signature_for(kb, goal), 2, q, mode, 600)
+            where = f"case {case}, {logic}, {mode}, q={q}"
+            assert verdict.stats.examined == examined, where
+            assert verdict.stats.models_found == models, where
+            if cm is None:
+                assert isinstance(verdict, NoCountermodel), where
+                assert verdict.stats.truncated == truncated, where
+            else:
+                assert isinstance(verdict, Refuted), where
+                assert verdict.countermodel == cm, where

@@ -1,18 +1,19 @@
 """Concept evaluation, induced preferences, typicality, satisfaction.
 
-The reference evaluator below is the independent oracle: a naive
-per-element recursion with sup/inf as explicit loops and typicality
-spelled out through the induced-preference minimality definition (the
-minimal positive elements), with no caching and no shortcuts.
+Randomized checks compare the evaluator with the independent oracle in
+``oracle.py``.
 """
 
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from fuzzytyp.algebra import LogicFamily, implication, negation, snorm, tnorm
+from fuzzytyp.algebra import LogicFamily
 from fuzzytyp.engine import EnumSignature, random_interpretation
 from fuzzytyp.interpretation import (
     FuzzyInterpretation,
@@ -24,6 +25,7 @@ from fuzzytyp.interpretation import (
     typical_elements,
 )
 from fuzzytyp.parser import parse_interpretation, parse_kb
+from fuzzytyp.weighted import weight
 from fuzzytyp.syntax import (
     And,
     Atomic,
@@ -41,50 +43,11 @@ from fuzzytyp.syntax import (
     Typ,
     UndeclaredNameError,
     WeightedKB,
+    WeightedTypicalityInclusion,
 )
+from oracle import ref_axiom_degree, ref_eval, ref_weight
 
 DATA = Path(__file__).parent / "data"
-
-
-def ref_eval(interp: FuzzyInterpretation, concept: Concept, x: str) -> F:
-    """Reference evaluator (independent of the production recursion)."""
-    logic = interp.logic
-    if isinstance(concept, Atomic):
-        return interp.concept_val.get((concept.name, x), F(0))
-    if isinstance(concept, Top):
-        return F(1)
-    if isinstance(concept, Bottom):
-        return F(0)
-    if isinstance(concept, Not):
-        return negation(logic, ref_eval(interp, concept.sub, x))
-    if isinstance(concept, And):
-        return tnorm(logic, ref_eval(interp, concept.left, x),
-                     ref_eval(interp, concept.right, x))
-    if isinstance(concept, Or):
-        return snorm(logic, ref_eval(interp, concept.left, x),
-                     ref_eval(interp, concept.right, x))
-    if isinstance(concept, Exists):
-        best = F(0)
-        for y in interp.domain:
-            v = tnorm(logic, interp.role_val.get((concept.role, x, y), F(0)),
-                      ref_eval(interp, concept.filler, y))
-            best = max(best, v)
-        return best
-    if isinstance(concept, Forall):
-        worst = F(1)
-        for y in interp.domain:
-            v = implication(logic, interp.role_val.get((concept.role, x, y), F(0)),
-                            ref_eval(interp, concept.filler, y))
-            worst = min(worst, v)
-        return worst
-    if isinstance(concept, Typ):
-        sub = concept.sub
-        positives = [y for y in interp.domain if ref_eval(interp, sub, y) > 0]
-        minimal = [u for u in positives
-                   if not any(ref_eval(interp, sub, z) > ref_eval(interp, sub, u)
-                              for z in positives)]
-        return F(1) if x in minimal else F(0)
-    raise TypeError(concept)
 
 
 def interp_over(logic, valuation: dict[str, dict[str, F]],
@@ -316,3 +279,74 @@ def test_typicality_is_valuation_determined():
         for x in twin.domain:
             assert (eval_concept(twin, Typ(Atomic("P")), x)
                     == eval_concept(twin, Typ(Atomic("Q")), x))
+
+
+def random_grid_interpretation(rng: random.Random, logic, n: int, q: int
+                               ) -> FuzzyInterpretation:
+    dom = tuple(f"e{i}" for i in range(n))
+    return FuzzyInterpretation(
+        logic=logic, domain=dom, concept_names=SIG.concepts, role_names=SIG.roles,
+        concept_val={(c, x): F(rng.randint(0, q), q) for c in SIG.concepts for x in dom},
+        role_val={(r, a, b): F(rng.randint(0, q), q)
+                  for r in SIG.roles for a in dom for b in dom},
+        individuals={"i": rng.choice(dom), "j": rng.choice(dom)})
+
+
+@pytest.mark.parametrize("q", [2, 3, 6])
+@pytest.mark.parametrize("logic", list(LogicFamily))
+def test_kernel_matches_oracle(logic, q):
+    """Degrees, axiom degrees and weights agree with the oracle; each
+    interpretation answers several queries, so shared subconcepts are
+    served from its cache."""
+    rng = random.Random(f"{logic}/{q}")
+    for _ in range(60):
+        interp = random_grid_interpretation(rng, logic, rng.randint(1, 4), q)
+        c1, c2, c3 = (random_concept(rng, 3, allow_typ=True) for _ in range(3))
+        for concept in (c1, c2, And(c1, c2), Typ(random_concept(rng, 2, allow_typ=False))):
+            for x in interp.domain:
+                assert eval_concept(interp, concept, x) == ref_eval(interp, concept, x)
+        axioms = [Inclusion(c1, c3, Cmp.GE, F(1)), Inclusion(c3, Or(c1, c2), Cmp.GT, F(0)),
+                  ConceptAssertion(c2, "i", Cmp.GE, F(1, 2)),
+                  RoleAssertion("r", "i", "j", Cmp.LE, F(1))]
+        for ax in axioms:
+            assert axiom_degree(interp, ax) == ref_axiom_degree(interp, ax)
+        table = tuple(WeightedTypicalityInclusion(
+            "P", random_concept(rng, 2, allow_typ=False),
+            F(rng.randint(-9, 9), rng.randint(1, 4))) for _ in range(rng.randint(0, 3)))
+        kb = WeightedKB(logic=logic, concepts=SIG.concepts, roles=SIG.roles,
+                        distinguished=("P",), wtbox={"P": table})
+        for x in interp.domain:
+            assert weight(interp, kb, "P", x) == ref_weight(interp, kb, "P", x)
+
+
+class TestImmutability:
+    def test_valuations_are_read_only(self):
+        interp = interp_over(LogicFamily.GODEL, {"A": {"e0": F(1, 2)}},
+                             roles={("r", "e0", "e0"): F(1)}, individuals={"a": "e0"})
+        assert eval_concept(interp, Atomic("A"), "e0") == F(1, 2)
+        with pytest.raises(TypeError):
+            interp.concept_val[("A", "e0")] = F(1)
+        with pytest.raises(TypeError):
+            interp.role_val[("r", "e0", "e0")] = F(0)
+        with pytest.raises(TypeError):
+            interp.individuals["a"] = "e1"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            interp.concept_val = {("A", "e0"): F(1)}
+        assert eval_concept(interp, Atomic("A"), "e0") == F(1, 2)
+
+    def test_constructor_copies_its_mappings(self):
+        val = {("A", "e0"): F(1, 2)}
+        interp = FuzzyInterpretation(logic=LogicFamily.GODEL, domain=("e0",),
+                                     concept_names=("A",), concept_val=val)
+        assert eval_concept(interp, Atomic("A"), "e0") == F(1, 2)
+        val[("A", "e0")] = F(1)
+        assert interp.concept_val == {("A", "e0"): F(1, 2)}
+        assert eval_concept(interp, Atomic("A"), "e0") == F(1, 2)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        interp = interp_over(LogicFamily.GODEL, {"A": {"e0": F(1, 2)}},
+                             roles={("r", "e0", "e0"): F(1)}, individuals={"a": "e0"})
+        eval_concept(interp, Atomic("A"), "e0")
+        for twin in (pickle.loads(pickle.dumps(interp)), copy.deepcopy(interp)):
+            assert twin == interp
+            assert eval_concept(twin, Exists("r", Atomic("A")), "e0") == F(1, 2)
