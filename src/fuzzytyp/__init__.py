@@ -63,7 +63,6 @@ from fuzzytyp.engine import (
     Refuted,
     SearchConfig,
     check_entailment_bounded,
-    check_fm_entailment_bounded,
     check_validity_bounded,
     count_interpretations,
     enumerate_interpretations,

@@ -2,7 +2,7 @@
 
 Subcommands: check-model, entail, klm-test, mlp, parse.
 Exit codes: 0 success/holds, 1 refuted/violated/not-a-model, 2 usage or
-input errors, 3 search truncated by the budget.
+input errors, 3 search truncated by the budget, 4 internal error.
 
 Record output (--format records) is line-delimited structured text with
 a versioned header; identical inputs, flags, and seed produce byte
@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
 from fuzzytyp.algebra import LogicFamily, logic_from_name
-from fuzzytyp.engine import NoCountermodel, Refuted, SearchConfig
+from fuzzytyp.engine import NoCountermodel, Refuted, SearchConfig, check_entailment_bounded
 from fuzzytyp.interpretation import is_model_strict
 from fuzzytyp.mlp import parse_net, parse_stimuli, verify_network_faithfulness
 from fuzzytyp.parser import (
@@ -43,17 +44,14 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_TRUNCATED = 3
+EXIT_INTERNAL = 4
 
 
-def _search_flags(sub: argparse.ArgumentParser) -> None:
+def _bound_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-domain", type=int, default=2, metavar="N",
-                     help="largest domain size to enumerate (default 2)")
+                     help="largest domain size (default 2)")
     sub.add_argument("--denominator", type=int, default=2, metavar="Q",
                      help="degree grid denominator (default 2)")
-    sub.add_argument("--budget", type=int, default=200_000,
-                     help="max interpretations examined (default 200000)")
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized search")
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,16 +73,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logic", help="override the KB's logic family")
     p.add_argument("--mode", choices=["plain", "fm"], default="plain")
     p.add_argument("--save-countermodel", type=Path, metavar="PATH")
-    _search_flags(p)
+    _bound_flags(p)
+    p.add_argument("--budget", type=int, default=200_000,
+                   help="max interpretations examined (default 200000)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
 
     p = subs.add_parser("klm-test", help="verify or refute a KLM postulate variant")
     p.add_argument("--postulate", required=True, choices=sorted(POSTULATES))
     p.add_argument("--logic", required=True)
     p.add_argument("--mode", choices=["verify", "find-counterexample"],
-                   default="find-counterexample")
-    p.add_argument("--trials", type=int, default=2000)
+                   default="find-counterexample",
+                   help="names the intent only: both modes run the same seeded search")
+    p.add_argument("--trials", type=int, default=2000,
+                   help="random interpretation and instantiation draws (default 2000)")
     p.add_argument("--depth", type=int, default=2, help="concept shape bound")
-    _search_flags(p)
+    _bound_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random search")
 
     p = subs.add_parser("mlp", help="translate a feed-forward net and verify faithfulness")
     p.add_argument("net", type=Path)
@@ -131,6 +135,12 @@ def _emit_interpretation(out: _Printer, interp, prefix: str) -> None:
         out.human(f"    {line}")
 
 
+def _emit_violations(out: _Printer, violations) -> None:
+    for v in violations:
+        out.both(f"  {v}", "violation", v.kind, v.concept, v.x, v.y,
+                 v.degree_x, v.degree_y, v.weight_x, v.weight_y)
+
+
 def cmd_check_model(args, out: _Printer) -> int:
     kb = parse_kb(args.kb.read_text())
     problems = validate_kb(kb)
@@ -153,15 +163,10 @@ def cmd_check_model(args, out: _Printer) -> int:
     report = is_fm_model(interp, kb)
     out.both(f"faithful: {'yes' if report.faithful else 'no'}",
              "faithful", str(report.faithful).lower())
-    for v in report.faithfulness_violations:
-        out.both(f"  {v}", "violation", v.kind, v.concept, v.x, v.y,
-                 v.degree_x, v.degree_y, v.weight_x, v.weight_y)
+    _emit_violations(out, report.faithfulness_violations)
     coherent, cviol = is_coherent(interp, kb)
     out.both(f"coherent: {'yes' if coherent else 'no'}", "coherent", str(coherent).lower())
-    for v in cviol:
-        if v.kind == "coherence":
-            out.both(f"  {v}", "violation", v.kind, v.concept, v.x, v.y,
-                     v.degree_x, v.degree_y, v.weight_x, v.weight_y)
+    _emit_violations(out, [v for v in cviol if v.kind == "coherence"])
     out.both(f"fm-model: {'yes' if report.is_fm_model else 'no'}",
              "fm-model", str(report.is_fm_model).lower())
     return EXIT_OK if report.is_fm_model else EXIT_REFUTED
@@ -174,8 +179,7 @@ def cmd_entail(args, out: _Printer) -> int:
     goal = parse_axiom(args.axiom, kb)
     config = SearchConfig(logic=logic, max_domain_size=args.max_domain,
                           denominator=args.denominator, budget=args.budget,
-                          mode=args.mode, seed=args.seed, jobs=args.jobs)
-    from fuzzytyp.engine import check_entailment_bounded
+                          mode=args.mode, jobs=args.jobs)
     verdict = check_entailment_bounded(kb, goal, config)
 
     if isinstance(verdict, Refuted):
@@ -199,12 +203,10 @@ def cmd_entail(args, out: _Printer) -> int:
 
 def cmd_klm(args, out: _Printer) -> int:
     logic = logic_from_name(args.logic)
-    config = SearchConfig(logic=logic, max_domain_size=args.max_domain,
-                          denominator=args.denominator, budget=args.budget,
-                          seed=args.seed, jobs=args.jobs)
-    shape = ShapeBound(max_depth=args.depth)
-    verdict = search_counterexample(args.postulate, logic, config, shape,
-                                    trials=args.trials)
+    verdict = search_counterexample(args.postulate, logic, ShapeBound(max_depth=args.depth),
+                                    max_domain_size=args.max_domain,
+                                    denominator=args.denominator, trials=args.trials,
+                                    seed=args.seed)
 
     if isinstance(verdict, Violated):
         check = verdict.check
@@ -258,9 +260,7 @@ def cmd_mlp(args, out: _Printer) -> int:
 
     out.both(f"faithful: {'yes' if report.faithful else 'no'}",
              "faithful", str(report.faithful).lower())
-    for v in report.fm_report.faithfulness_violations:
-        out.both(f"  {v}", "violation", v.kind, v.concept, v.x, v.y,
-                 v.degree_x, v.degree_y, v.weight_x, v.weight_y)
+    _emit_violations(out, report.fm_report.faithfulness_violations)
     out.both(f"wrote {kb_path}, {fint_path}, {report_path}",
              "outputs", kb_path, fint_path, report_path)
     return EXIT_OK if report.faithful else EXIT_REFUTED
@@ -300,6 +300,11 @@ def main(argv: list[str] | None = None) -> int:
         out.flush()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a crash must never read as a verdict
+        out.flush()
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
     out.flush()
     return code
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal
 
@@ -49,14 +49,14 @@ class EnumSignature:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Bounds for model enumeration and search."""
+    """Bounds and mode of the exhaustive scans: enumeration, entailment
+    (plain or fm) and validity."""
 
     logic: LogicFamily
     max_domain_size: int = 2
     denominator: int = 2
     budget: int = 200_000
     mode: Literal["plain", "fm"] = "plain"
-    seed: int = 0
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -125,11 +125,18 @@ def interpretation_at(sig: EnumSignature, logic: LogicFamily, domain_size: int,
                       denominator: int, index: int) -> FuzzyInterpretation:
     """Decode the interpretation at ``index`` (0-based) of the size-n
     block of the enumeration stream."""
-    n = domain_size
-    q = denominator
+    atoms, roles, element = _decode(sig, domain_size, denominator, index)
+    return interpretation_of_digits(sig, logic, domain_size, denominator, atoms, roles, element)
+
+
+def interpretation_of_digits(sig: EnumSignature, logic: LogicFamily, n: int, q: int,
+                             atoms: list[list[int]], roles: list[list[list[int]]],
+                             element: dict[str, int]) -> FuzzyInterpretation:
+    """The interpretation with domain e0..e(n-1) whose degrees are the
+    given grid numerators over q (laid out as ``_decode`` returns them)
+    and whose individuals denote the given element indices."""
     dom = domain_elements(n)
     grid = [Fraction(i, q) for i in range(q + 1)]
-    atoms, roles, element = _decode(sig, n, q, index)
     return FuzzyInterpretation(
         logic=logic, domain=dom,
         concept_names=sig.concepts, role_names=sig.roles,
@@ -156,7 +163,7 @@ def enumerate_interpretations(sig: EnumSignature, config: SearchConfig
 def random_interpretation(rng: random.Random, sig: EnumSignature, logic: LogicFamily,
                           domain_size: int, denominator: int) -> FuzzyInterpretation:
     """One uniformly random grid interpretation (used by the randomized
-    property suites; exhaustive search does not use the seed)."""
+    property suites)."""
     n = domain_size
     total = count_interpretations(sig, n, denominator)
     return interpretation_at(sig, logic, n, denominator, rng.randrange(total))
@@ -386,15 +393,6 @@ def check_entailment_bounded(kb: WeightedKB, goal: FuzzyAxiom,
     return _scan(sig, config, ("entail", kb, goal, config.mode))
 
 
-def check_fm_entailment_bounded(kb: WeightedKB, goal: FuzzyAxiom,
-                                config: SearchConfig) -> EntailmentVerdict:
-    """check_entailment_bounded with the fm-model filter forced on."""
-    return check_entailment_bounded(kb, goal, replace(config, mode="fm"))
-
-
-def check_validity_bounded(goal: FuzzyAxiom, logic: LogicFamily,
-                           config: SearchConfig) -> EntailmentVerdict:
+def check_validity_bounded(goal: FuzzyAxiom, config: SearchConfig) -> EntailmentVerdict:
     """Search for any interpretation at all falsifying the axiom."""
-    sig = signature_of_axiom(goal)
-    config = replace(config, logic=logic)
-    return _scan(sig, config, ("validity", goal))
+    return _scan(signature_of_axiom(goal), config, ("validity", goal))

@@ -23,6 +23,8 @@ The logic line comes first; signature lines follow (each at most once,
 in any order); sections come last and may repeat.  A section header may
 carry its first entry on the same line.  Numbers are written p/q or as
 decimal literals and are converted exactly (0.8 means 4/5, not a float).
+A concept may nest at most MAX_NESTING operators ((not ...), (and ...),
+(or ...), (some ...), (all ...), T(...)) inside one another.
 
 .fint grammar (same lexical conventions):
 
@@ -85,6 +87,11 @@ RESERVED = {
 
 _HEADER_WORDS = {"logic", "concepts", "roles", "individuals", "distinguished",
                  "tbox", "wtbox", "abox"}
+
+#: Deepest operator nesting a concept expression may have.  Parsing,
+#: compiling and printing recurse once per level, so the limit keeps
+#: every concept well inside the interpreter's recursion limit.
+MAX_NESTING = 256
 
 
 class _Token:
@@ -175,8 +182,13 @@ class _Signature:
         self.individuals = individuals
 
 
-def _parse_concept_expr(ts: _TokenStream, sig: _Signature) -> Concept:
+def _parse_concept_expr(ts: _TokenStream, sig: _Signature, depth: int = 0) -> Concept:
+    """One concept expression; ``depth`` operators enclose it."""
     tok = ts.next("concept expression")
+    if depth == MAX_NESTING and tok.text in ("T", "("):
+        raise KBSyntaxError(f"concept nested deeper than {MAX_NESTING} levels",
+                            tok.line, tok.col)
+    depth += 1
     if tok.kind == "ident":
         if tok.text == "Top":
             return TOP
@@ -184,7 +196,7 @@ def _parse_concept_expr(ts: _TokenStream, sig: _Signature) -> Concept:
             return BOTTOM
         if tok.text == "T":
             ts.expect_sym("(")
-            inner = _parse_concept_expr(ts, sig)
+            inner = _parse_concept_expr(ts, sig, depth)
             ts.expect_sym(")")
             try:
                 return Typ(inner)
@@ -199,12 +211,12 @@ def _parse_concept_expr(ts: _TokenStream, sig: _Signature) -> Concept:
     if tok.kind == "sym" and tok.text == "(":
         op = ts.expect_ident("operator (not, and, or, some, all)")
         if op.text == "not":
-            sub = _parse_concept_expr(ts, sig)
+            sub = _parse_concept_expr(ts, sig, depth)
             ts.expect_sym(")")
             return Not(sub)
         if op.text in ("and", "or"):
-            left = _parse_concept_expr(ts, sig)
-            right = _parse_concept_expr(ts, sig)
+            left = _parse_concept_expr(ts, sig, depth)
+            right = _parse_concept_expr(ts, sig, depth)
             ts.expect_sym(")")
             return And(left, right) if op.text == "and" else Or(left, right)
         if op.text in ("some", "all"):
@@ -212,7 +224,7 @@ def _parse_concept_expr(ts: _TokenStream, sig: _Signature) -> Concept:
             if role.text not in sig.roles:
                 raise UndeclaredNameError(f"undeclared role name {role.text!r}",
                                           role.line, role.col)
-            filler = _parse_concept_expr(ts, sig)
+            filler = _parse_concept_expr(ts, sig, depth)
             ts.expect_sym(")")
             return Exists(role.text, filler) if op.text == "some" else Forall(role.text, filler)
         raise KBSyntaxError(f"expected operator, found {op.text!r}", op.line, op.col)
@@ -224,8 +236,8 @@ def _parse_threshold(ts: _TokenStream) -> Fraction:
     return parse_degree(tok.text, tok.line, tok.col)
 
 
-def _parse_inclusion(ts: _TokenStream, sig: _Signature) -> Inclusion:
-    lhs = _parse_concept_expr(ts, sig)
+def _parse_inclusion(ts: _TokenStream, sig: _Signature, lhs: Concept) -> Inclusion:
+    """The rest of an inclusion whose left side ``lhs`` has been read."""
     ts.expect_sym("<=")
     rhs = _parse_concept_expr(ts, sig)
     cmp = ts.expect_cmp()
@@ -234,12 +246,17 @@ def _parse_inclusion(ts: _TokenStream, sig: _Signature) -> Inclusion:
     return Inclusion(lhs, rhs, cmp, n)
 
 
+def _at_role_assertion(ts: _TokenStream, sig: _Signature) -> bool:
+    """Whether the line goes on with a declared role name applied to
+    two individuals."""
+    head, nxt = ts.peek(), ts.peek2()
+    return (head is not None and head.kind == "ident" and head.text in sig.roles
+            and nxt is not None and nxt.text == "(")
+
+
 def _parse_assertion(ts: _TokenStream, sig: _Signature) -> FuzzyAxiom:
-    head = ts.peek()
-    # role assertion: declared role name applied to two individuals
-    if (head is not None and head.kind == "ident" and head.text in sig.roles
-            and ts.peek2() is not None and ts.peek2().text == "("):
-        ts.next("role name")
+    if _at_role_assertion(ts, sig):
+        head = ts.next("role name")
         ts.expect_sym("(")
         a = ts.expect_ident("individual name")
         ts.expect_sym(",")
@@ -252,7 +269,12 @@ def _parse_assertion(ts: _TokenStream, sig: _Signature) -> FuzzyAxiom:
             if ind.text not in sig.individuals:
                 raise UndeclaredNameError(f"undeclared individual {ind.text!r}", ind.line, ind.col)
         return RoleAssertion(head.text, a.text, b.text, cmp, n)
-    concept = _parse_concept_expr(ts, sig)
+    return _parse_concept_assertion(ts, sig, _parse_concept_expr(ts, sig))
+
+
+def _parse_concept_assertion(ts: _TokenStream, sig: _Signature,
+                             concept: Concept) -> ConceptAssertion:
+    """The rest of a concept assertion whose ``concept`` has been read."""
     ts.expect_sym("(")
     ind = ts.expect_ident("individual name")
     ts.expect_sym(")")
@@ -378,7 +400,7 @@ def parse_kb(text: str) -> WeightedKB:
                                 head.line, head.col)
         kind, wname = section
         if kind == "tbox":
-            tbox.append(_parse_inclusion(ts, sig))
+            tbox.append(_parse_inclusion(ts, sig, _parse_concept_expr(ts, sig)))
         elif kind == "abox":
             abox.append(_parse_assertion(ts, sig))
         else:
@@ -419,31 +441,15 @@ def parse_concept(text: str, kb: WeightedKB) -> Concept:
 
 def parse_axiom(text: str, kb: WeightedKB) -> FuzzyAxiom:
     """Parse one inclusion or assertion (same grammar as .fkb bodies)."""
-    tokens = _tokenize_line(text, 1)
-    ts = _TokenStream(tokens, 1)
+    ts = _TokenStream(_tokenize_line(text, 1), 1)
     sig = _signature_of(kb)
-    head = ts.peek()
-    if (head is not None and head.kind == "ident" and head.text in sig.roles
-            and ts.peek2() is not None and ts.peek2().text == "("):
+    if _at_role_assertion(ts, sig):
         return _parse_assertion(ts, sig)
-    concept = _parse_concept_expr(ts, sig)
+    first = _parse_concept_expr(ts, sig)
     nxt = ts.peek()
     if nxt is not None and nxt.kind == "sym" and nxt.text == "<=":
-        ts.expect_sym("<=")
-        rhs = _parse_concept_expr(ts, sig)
-        cmp = ts.expect_cmp()
-        n = _parse_threshold(ts)
-        ts.expect_end()
-        return Inclusion(concept, rhs, cmp, n)
-    ts.expect_sym("(")
-    ind = ts.expect_ident("individual name")
-    ts.expect_sym(")")
-    cmp = ts.expect_cmp()
-    n = _parse_threshold(ts)
-    ts.expect_end()
-    if ind.text not in sig.individuals:
-        raise UndeclaredNameError(f"undeclared individual {ind.text!r}", ind.line, ind.col)
-    return ConceptAssertion(concept, ind.text, cmp, n)
+        return _parse_inclusion(ts, sig, first)
+    return _parse_concept_assertion(ts, sig, first)
 
 
 def serialize_kb(kb: WeightedKB) -> str:

@@ -20,17 +20,18 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from fuzzytyp.algebra import LogicFamily, ONE, ZERO
+from fuzzytyp.algebra import LogicFamily, ONE
 from fuzzytyp.engine import (
     EnumSignature,
     NoCountermodel,
     SearchConfig,
     check_validity_bounded,
     enumerate_interpretations,
+    interpretation_of_digits,
     random_interpretation,
 )
 from fuzzytyp.interpretation import FuzzyInterpretation, axiom_degree, typical_elements
@@ -227,7 +228,7 @@ def certify_catalog_entry(entry: CatalogEntry, logic: LogicFamily,
     axioms = [Inclusion(lhs, rhs, Cmp.GE, Fraction(1))]
     if entry.kind == "equiv":
         axioms.append(Inclusion(rhs, lhs, Cmp.GE, Fraction(1)))
-    return all(isinstance(check_validity_bounded(ax, logic, config), NoCountermodel)
+    return all(isinstance(check_validity_bounded(ax, config), NoCountermodel)
                for ax in axioms)
 
 
@@ -245,22 +246,6 @@ def catalog_oracle(logic: LogicFamily) -> Callable[[str, Concept, Concept], bool
             if kind == "equiv" and entry.matches(rhs, lhs):
                 return True
         return False
-
-    return oracle
-
-
-def bounded_validity_oracle(logic: LogicFamily, config: SearchConfig
-                            ) -> Callable[[str, Concept, Concept], bool]:
-    """Validity oracle by on-the-spot bounded search.  Refutation is
-    conclusive; absence of a countermodel certifies only up to the
-    documented bounds, which is the best a desk-scale check can say."""
-
-    def oracle(kind: str, lhs: Concept, rhs: Concept) -> bool:
-        axioms = [Inclusion(lhs, rhs, Cmp.GE, Fraction(1))]
-        if kind == "equiv":
-            axioms.append(Inclusion(rhs, lhs, Cmp.GE, Fraction(1)))
-        return all(isinstance(check_validity_bounded(ax, logic, config), NoCountermodel)
-                   for ax in axioms)
 
     return oracle
 
@@ -377,27 +362,13 @@ def _sample_interpretation(rng: random.Random, sig: EnumSignature, logic: LogicF
     roll = rng.random()
     if roll < 0.6:
         return random_interpretation(rng, sig, logic, domain_size, denominator)
-    grid = [Fraction(i, denominator) for i in range(denominator + 1)]
-    palette = [ZERO, rng.choice(grid[1:])]
+    n, q = domain_size, denominator
+    palette = [0, rng.choice(range(1, q + 1))]
     if roll < 0.8:
-        palette.append(rng.choice(grid[1:]))
-    dom = tuple(f"e{i}" for i in range(domain_size))
-    concept_val = {}
-    for name in sig.concepts:
-        for elem in dom:
-            v = rng.choice(palette)
-            if v != ZERO:
-                concept_val[(name, elem)] = v
-    role_val = {}
-    for name in sig.roles:
-        for a in dom:
-            for b in dom:
-                v = rng.choice(palette)
-                if v != ZERO:
-                    role_val[(name, a, b)] = v
-    return FuzzyInterpretation(
-        logic=logic, domain=dom, concept_names=sig.concepts, role_names=sig.roles,
-        concept_val=concept_val, role_val=role_val)
+        palette.append(rng.choice(range(1, q + 1)))
+    atoms = [[rng.choice(palette) for _ in range(n)] for _ in sig.concepts]
+    roles = [[[rng.choice(palette) for _ in range(n)] for _ in range(n)] for _ in sig.roles]
+    return interpretation_of_digits(sig, logic, n, q, atoms, roles, {})
 
 
 def _random_concept(rng: random.Random, shape: ShapeBound, depth: int) -> Concept:
@@ -446,8 +417,7 @@ def _concept_candidates(shape: ShapeBound) -> Iterator[Concept]:
 
 
 def _random_substitution(rng: random.Random, schema: PostulateSchema,
-                         shape: ShapeBound, logic: LogicFamily
-                         ) -> dict[str, Concept] | None:
+                         shape: ShapeBound, logic: LogicFamily) -> dict[str, Concept]:
     subst: dict[str, Concept] = {}
     if schema.validity is not None:
         _, lvar, rvar = schema.validity
@@ -498,26 +468,32 @@ def _force_toward_engagement(rng: random.Random, interp: FuzzyInterpretation,
         for elem, target in targets.items():
             force(premise.rhs, elem, target)
 
-    return FuzzyInterpretation(
-        logic=interp.logic, domain=interp.domain,
-        concept_names=interp.concept_names, role_names=interp.role_names,
-        concept_val=new_val, role_val=dict(interp.role_val),
-        individuals=dict(interp.individuals))
+    return replace(interp, concept_val=new_val)
 
 
 def search_counterexample(postulate: str | PostulateSchema, logic: LogicFamily,
-                          config: SearchConfig, shape: ShapeBound = ShapeBound(),
-                          trials: int | None = None,
+                          shape: ShapeBound = ShapeBound(), *, max_domain_size: int = 2,
+                          denominator: int = 2, trials: int = 2000, seed: int = 0,
                           exhaustive: bool = False) -> PostulateVerdict:
     """Look for an interpretation plus instantiation violating the
-    postulate.
+    postulate, over domains of at most ``max_domain_size`` elements and
+    atomic degrees on the grid {0, 1/q, ..., 1} with q = ``denominator``.
 
-    Random mode (default) draws seeded interpretations and
-    instantiations, alternating raw draws with premise-forcing draws so
-    that a healthy share of instances engages the premises.  Exhaustive
-    mode enumerates instantiations small-first and scans the full
-    bounded interpretation space for each, within the budget.
+    Random mode (default) runs ``trials`` seeded draws of an
+    interpretation and an instantiation, alternating raw draws with
+    premise-forcing draws so that a healthy share of instances engages
+    the premises.  Exhaustive mode enumerates instantiations small-first
+    and scans the full bounded interpretation space for each, examining
+    at most ``trials`` interpretations in all; it does not use the seed.
     """
+    if max_domain_size < 1:
+        raise ValueError("max_domain_size must be >= 1")
+    if denominator < 1:
+        raise ValueError("denominator must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if shape.max_depth < 0:
+        raise ValueError("depth must be >= 0")
     schema = POSTULATES[postulate] if isinstance(postulate, str) else postulate
     oracle = catalog_oracle(logic)
     sig = EnumSignature(concepts=shape.atoms, roles=shape.roles)
@@ -539,6 +515,8 @@ def search_counterexample(postulate: str | PostulateSchema, logic: LogicFamily,
         return check
 
     if exhaustive:
+        space = SearchConfig(logic=logic, max_domain_size=max_domain_size,
+                             denominator=denominator)
         spent = 0
         exhausted = False
         candidates = list(_concept_candidates(shape))
@@ -549,9 +527,9 @@ def search_counterexample(postulate: str | PostulateSchema, logic: LogicFamily,
                 if not oracle(kind, subst[lvar], subst[rvar]):
                     uncertified += 1
                     continue
-            for interp in enumerate_interpretations(sig, config):
+            for interp in enumerate_interpretations(sig, space):
                 spent += 1
-                if spent > config.budget:
+                if spent > trials:
                     exhausted = True
                     break
                 check = run(interp, subst)
@@ -562,22 +540,17 @@ def search_counterexample(postulate: str | PostulateSchema, logic: LogicFamily,
                 break
         return HoldsWithinBounds(KlmStats(spent, engaged, vacuous, uncertified, exhausted))
 
-    n_trials = trials if trials is not None else config.budget
-    rng = random.Random(config.seed)
-    for trial in range(n_trials):
+    rng = random.Random(seed)
+    for trial in range(trials):
         interp = _sample_interpretation(
-            rng, sig, logic,
-            rng.randint(1, config.max_domain_size), config.denominator)
+            rng, sig, logic, rng.randint(1, max_domain_size), denominator)
         subst = _random_substitution(rng, schema, shape, logic)
-        if subst is None:
-            continue
         if trial % 2 == 1:
             premises = schema.premises(subst)
             if premises:
-                interp = _force_toward_engagement(rng, interp, premises,
-                                                  config.denominator)
+                interp = _force_toward_engagement(rng, interp, premises, denominator)
         check = run(interp, subst)
         if check is not None and not check.holds:
             stats = KlmStats(trial + 1, engaged, vacuous, uncertified, False)
             return Violated(interp, check, stats)
-    return HoldsWithinBounds(KlmStats(n_trials, engaged, vacuous, uncertified, False))
+    return HoldsWithinBounds(KlmStats(trials, engaged, vacuous, uncertified, False))

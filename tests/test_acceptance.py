@@ -17,7 +17,6 @@ from fuzzytyp.engine import (
     Refuted,
     SearchConfig,
     check_entailment_bounded,
-    check_fm_entailment_bounded,
     count_interpretations,
     enumerate_interpretations,
     random_interpretation,
@@ -114,10 +113,9 @@ def run_zero_violation_suite(logics, postulates, trials=10_000):
     engaged = {}
     for logic in logics:
         for name in postulates:
-            config = SearchConfig(logic=logic, max_domain_size=5, denominator=6,
-                                  seed=42)
-            verdict = search_counterexample(name, logic, config,
-                                            ShapeBound(max_depth=2), trials=trials)
+            verdict = search_counterexample(name, logic, ShapeBound(max_depth=2),
+                                            max_domain_size=5, denominator=6,
+                                            trials=trials, seed=42)
             assert isinstance(verdict, HoldsWithinBounds), (
                 f"{name} violated in {logic}: {verdict.check}")
             assert verdict.stats.trials == trials
@@ -171,9 +169,8 @@ def test_acceptance_4_failure_witness_suite():
         concept_val={("P1", "e0"): F(1, 2)})
     analytic = check_instance(singleton, "REFL1", C=Atomic("P1"))
     assert not analytic.holds and analytic.conclusion_degree == F(1, 2)
-    config = SearchConfig(logic=GODEL, max_domain_size=3, denominator=4,
-                          budget=2000)
-    found = search_counterexample("REFL1", GODEL, config, exhaustive=True)
+    found = search_counterexample("REFL1", GODEL, max_domain_size=3, denominator=4,
+                                  trials=2000, exhaustive=True)
     assert isinstance(found, Violated)
     recheck_witness(found)
     findings.append("REFL1/godel")
@@ -186,18 +183,17 @@ def test_acceptance_4_failure_witness_suite():
         (LUKA, "OR1", 0, 20_000),
         (PRODUCT, "OR1", 0, 150_000),
     ]:
-        config = SearchConfig(logic=logic, max_domain_size=3, denominator=4,
-                              seed=0)
-        verdict = search_counterexample(postulate, logic, config,
-                                        ShapeBound(max_depth=depth), trials=trials)
+        verdict = search_counterexample(postulate, logic, ShapeBound(max_depth=depth),
+                                        max_domain_size=3, denominator=4,
+                                        trials=trials, seed=0)
         assert isinstance(verdict, Violated), f"{postulate} not refuted in {logic}"
         recheck_witness(verdict)
         findings.append(f"{postulate}/{logic} (trial {verdict.stats.trials})")
 
     # (c) weak cautious monotonicity fails in Godel
-    config = SearchConfig(logic=GODEL, max_domain_size=3, denominator=4, seed=0)
-    verdict = search_counterexample("CM0", GODEL, config,
-                                    ShapeBound(max_depth=2), trials=30_000)
+    verdict = search_counterexample("CM0", GODEL, ShapeBound(max_depth=2),
+                                    max_domain_size=3, denominator=4,
+                                    trials=30_000, seed=0)
     assert isinstance(verdict, Violated)
     recheck_witness(verdict)
     findings.append(f"CM0/godel (trial {verdict.stats.trials})")
@@ -295,8 +291,8 @@ def test_acceptance_7_engine_oracle_checks():
     # every emitted countermodel re-checks through the model checker
     kb, _ = load_penguin()
     goal = parse_axiom("T(Penguin) <= Fly >= 0.9", kb)
-    verdict = check_fm_entailment_bounded(kb, goal, SearchConfig(
-        logic=kb.logic, max_domain_size=2, denominator=10, budget=100_000))
+    verdict = check_entailment_bounded(kb, goal, SearchConfig(
+        logic=kb.logic, max_domain_size=2, denominator=10, budget=100_000, mode="fm"))
     assert isinstance(verdict, Refuted)
     assert is_fm_model(verdict.countermodel, kb).is_fm_model
     assert not satisfies(verdict.countermodel, goal)
@@ -310,9 +306,9 @@ def test_acceptance_7_engine_oracle_checks():
     assert ok and not satisfies(verdict2.countermodel, goal2)
 
     # identical seeds give identical outputs
-    config = SearchConfig(logic=GODEL, max_domain_size=3, denominator=4, seed=9)
-    first = search_counterexample("CM0", GODEL, config, trials=20_000)
-    second = search_counterexample("CM0", GODEL, config, trials=20_000)
+    bounds = dict(max_domain_size=3, denominator=4, trials=20_000, seed=9)
+    first = search_counterexample("CM0", GODEL, **bounds)
+    second = search_counterexample("CM0", GODEL, **bounds)
     assert isinstance(first, Violated) and isinstance(second, Violated)
     assert first.interp == second.interp
     assert first.check.substitution == second.check.substitution

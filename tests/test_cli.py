@@ -10,6 +10,7 @@ import pytest
 
 from fuzzytyp.algebra import LogicFamily
 from fuzzytyp.cli import main
+from fuzzytyp.parser import MAX_NESTING
 
 DATA = Path(__file__).parent / "data"
 PENGUIN_KB = str(DATA / "penguin.fkb")
@@ -129,6 +130,67 @@ class TestKlm:
         with pytest.raises(SystemExit) as err:
             main(["klm-test", "--postulate", "NOPE", "--logic", "godel"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-5"),
+                                             ("--depth", "-1"), ("--max-domain", "0"),
+                                             ("--denominator", "0")])
+    def test_out_of_range_bound_is_usage_error(self, capsys, flag, value):
+        code = main(["klm-test", "--postulate", "REFL0", "--logic", "godel", flag, value])
+        assert code == 2
+        assert "must be >=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["entail", PENGUIN_KB, "Fly <= Bird >= 1", "--seed", "1"],
+    ["klm-test", "--postulate", "REFL0", "--logic", "godel", "--jobs", "2"],
+    ["klm-test", "--postulate", "REFL0", "--logic", "godel", "--budget", "5"],
+])
+def test_a_flag_the_command_would_ignore_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+
+
+def test_a_crash_exits_4_never_1(capsys, monkeypatch):
+    import fuzzytyp.cli as cli
+
+    def crash(text):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "parse_kb", crash)
+    code = main(["parse", PENGUIN_KB])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: internal error:") and "boom" in err
+
+
+class TestNestingLimit:
+    """A concept nested MAX_NESTING deep is read; one level deeper is an
+    input error with its position, never a crash."""
+
+    CASES = [(MAX_NESTING, 0), (MAX_NESTING + 1, 2), (3000, 2)]
+
+    @staticmethod
+    def nested(levels: int) -> str:
+        return "(not " * levels + "A" + ")" * levels
+
+    @pytest.mark.parametrize("levels, expected", CASES)
+    def test_fkb_line(self, capsys, tmp_path, levels, expected):
+        kb = tmp_path / "deep.fkb"
+        kb.write_text(f"logic godel\nconcepts A\ntbox:\n{self.nested(levels)} <= Top >= 1\n")
+        assert main(["parse", str(kb)]) == expected
+        if expected:
+            assert "line 4, col" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels, expected", CASES)
+    def test_entail_goal(self, capsys, tmp_path, levels, expected):
+        kb = tmp_path / "flat.fkb"
+        kb.write_text("logic godel\nconcepts A\n")
+        code = main(["entail", str(kb), f"{self.nested(levels)} <= Top >= 1",
+                     "--max-domain", "1", "--denominator", "1"])
+        assert code == expected
+        if expected:
+            assert f"nested deeper than {MAX_NESTING}" in capsys.readouterr().err
 
 
 class TestMlp:

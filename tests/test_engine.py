@@ -2,6 +2,7 @@
 and worker-pool equivalence."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,7 +15,6 @@ from fuzzytyp.engine import (
     Refuted,
     SearchConfig,
     check_entailment_bounded,
-    check_fm_entailment_bounded,
     check_validity_bounded,
     count_interpretations,
     enumerate_interpretations,
@@ -174,9 +174,9 @@ def penguin():
 class TestFmEntailment:
     def test_low_flying_typical_penguins_admitted(self, penguin):
         goal = parse_axiom("T(Penguin) <= Fly >= 0.9", penguin)
-        verdict = check_fm_entailment_bounded(penguin, goal, SearchConfig(
+        verdict = check_entailment_bounded(penguin, goal, SearchConfig(
             logic=penguin.logic, max_domain_size=2, denominator=10,
-            budget=100_000))
+            budget=100_000, mode="fm"))
         assert isinstance(verdict, Refuted)
         report = is_fm_model(verdict.countermodel, penguin)
         assert report.is_fm_model
@@ -188,7 +188,7 @@ class TestFmEntailment:
         goal = parse_axiom("T(Bird) <= Fly > 0", penguin)
         config = SearchConfig(logic=penguin.logic, max_domain_size=1,
                               denominator=4, budget=50_000, mode="fm")
-        verdict = check_fm_entailment_bounded(penguin, goal, config)
+        verdict = check_entailment_bounded(penguin, goal, config)
         if isinstance(verdict, Refuted):
             assert is_fm_model(verdict.countermodel, penguin).is_fm_model
 
@@ -196,22 +196,27 @@ class TestFmEntailment:
         kb = WeightedKB(logic=GODEL, concepts=("A",), distinguished=("A",),
                         tbox=(Inclusion(TOP, BOTTOM, Cmp.GE, F(1)),))
         goal = Inclusion(A, A, Cmp.GE, F(1))
-        verdict = check_fm_entailment_bounded(kb, goal, SearchConfig(
-            logic=GODEL, max_domain_size=2, denominator=1))
+        verdict = check_entailment_bounded(kb, goal, SearchConfig(
+            logic=GODEL, max_domain_size=2, denominator=1, mode="fm"))
         assert isinstance(verdict, NoCountermodel)
         assert verdict.stats.models_found == 0
+
+
+def test_search_config_holds_only_the_engine_bounds():
+    assert [f.name for f in fields(SearchConfig)] == [
+        "logic", "max_domain_size", "denominator", "budget", "mode", "jobs"]
 
 
 class TestValidity:
     def test_conjunction_weakening_valid_in_godel(self):
         ax = Inclusion(And(A, B), A, Cmp.GE, F(1))
-        verdict = check_validity_bounded(ax, GODEL, SearchConfig(
+        verdict = check_validity_bounded(ax, SearchConfig(
             logic=GODEL, max_domain_size=2, denominator=4))
         assert isinstance(verdict, NoCountermodel)
 
     def test_identity_inclusion_refutable_in_zadeh(self):
         ax = Inclusion(C, C, Cmp.GE, F(1))
-        verdict = check_validity_bounded(ax, LogicFamily.ZADEH, SearchConfig(
+        verdict = check_validity_bounded(ax, SearchConfig(
             logic=LogicFamily.ZADEH, max_domain_size=1, denominator=2))
         assert isinstance(verdict, Refuted)
         assert verdict.countermodel.concept_val == {("C", "e0"): F(1, 2)}
@@ -219,7 +224,7 @@ class TestValidity:
     @pytest.mark.parametrize("logic", list(LogicFamily))
     def test_top_inclusion_valid_everywhere(self, logic):
         ax = Inclusion(C, TOP, Cmp.GE, F(1))
-        verdict = check_validity_bounded(ax, logic, SearchConfig(
+        verdict = check_validity_bounded(ax, SearchConfig(
             logic=logic, max_domain_size=2, denominator=3))
         assert isinstance(verdict, NoCountermodel)
 

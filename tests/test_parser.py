@@ -280,3 +280,12 @@ def kbs(draw):
 def test_serialize_parse_roundtrip(kb):
     assert validate_kb(kb) == []
     assert parse_kb(serialize_kb(kb)) == kb
+
+
+@settings(max_examples=150, deadline=None)
+@given(kbs())
+def test_parse_axiom_reads_back_every_printed_axiom(kb):
+    # inclusions, concept assertions and role assertions all go through
+    # the same body rules as .fkb lines
+    for ax in kb.tbox + kb.abox:
+        assert parse_axiom(str(ax), kb) == ax

@@ -13,7 +13,6 @@ from fuzzytyp.engine import (
     NoCountermodel,
     SearchConfig,
     check_entailment_bounded,
-    check_fm_entailment_bounded,
     random_interpretation,
 )
 from fuzzytyp.interpretation import FuzzyInterpretation, satisfies
@@ -163,48 +162,46 @@ def recheck_violation(verdict: Violated) -> None:
 
 class TestSearch:
     def test_exhaustive_search_finds_strong_reflexivity_witness(self):
-        config = SearchConfig(logic=GODEL, max_domain_size=1, denominator=2,
-                              budget=500)
-        verdict = search_counterexample("REFL1", GODEL, config, exhaustive=True)
+        verdict = search_counterexample("REFL1", GODEL, max_domain_size=1, denominator=2,
+                                        trials=500, exhaustive=True)
         assert isinstance(verdict, Violated)
         recheck_violation(verdict)
 
     def test_random_search_finds_weak_cm_witness(self):
-        config = SearchConfig(logic=GODEL, max_domain_size=3, denominator=4, seed=0)
-        verdict = search_counterexample("CM0", GODEL, config, trials=20000)
+        verdict = search_counterexample("CM0", GODEL, max_domain_size=3, denominator=4,
+                                        trials=20000, seed=0)
         assert isinstance(verdict, Violated)
         assert verdict.check.postulate == "CM0"
         recheck_violation(verdict)
 
     def test_random_search_finds_strong_or_witness_in_lukasiewicz(self):
-        config = SearchConfig(logic=LUKA, max_domain_size=3, denominator=4, seed=0)
-        verdict = search_counterexample("OR1", LUKA, config,
-                                        ShapeBound(max_depth=0), trials=20000)
+        verdict = search_counterexample("OR1", LUKA, ShapeBound(max_depth=0),
+                                        max_domain_size=3, denominator=4,
+                                        trials=20000, seed=0)
         assert isinstance(verdict, Violated)
         recheck_violation(verdict)
 
     def test_exhaustive_sweep_cannot_break_the_strong_and_rule(self):
         # full sweep: every atomic instantiation triple against every
         # interpretation within the bounds
-        config = SearchConfig(logic=GODEL, max_domain_size=2, denominator=2,
-                              budget=100_000)
-        verdict = search_counterexample("AND1", GODEL, config,
-                                        ShapeBound(max_depth=0), exhaustive=True)
+        verdict = search_counterexample("AND1", GODEL, ShapeBound(max_depth=0),
+                                        max_domain_size=2, denominator=2,
+                                        trials=100_000, exhaustive=True)
         assert isinstance(verdict, HoldsWithinBounds)
         assert not verdict.stats.budget_exhausted
         assert verdict.stats.engaged > 0
 
     def test_verify_mode_reports_engagement(self):
-        config = SearchConfig(logic=ZADEH, max_domain_size=3, denominator=4, seed=1)
-        verdict = search_counterexample("AND1", ZADEH, config, trials=800)
+        verdict = search_counterexample("AND1", ZADEH, max_domain_size=3, denominator=4,
+                                        trials=800, seed=1)
         assert isinstance(verdict, HoldsWithinBounds)
         assert verdict.stats.engaged > 0
         assert verdict.stats.trials == 800
 
     def test_search_is_deterministic(self):
-        config = SearchConfig(logic=GODEL, max_domain_size=3, denominator=4, seed=5)
-        a = search_counterexample("CM0", GODEL, config, trials=20000)
-        b = search_counterexample("CM0", GODEL, config, trials=20000)
+        bounds = dict(max_domain_size=3, denominator=4, trials=20000, seed=5)
+        a = search_counterexample("CM0", GODEL, **bounds)
+        b = search_counterexample("CM0", GODEL, **bounds)
         assert isinstance(a, Violated) and isinstance(b, Violated)
         assert a.interp == b.interp
         assert a.check.substitution == b.check.substitution
@@ -266,6 +263,6 @@ class TestEntailmentLifting:
                 wtbox={"A": (WeightedTypicalityInclusion("A", Atomic("C"), F(3)),)})
             goal = Inclusion(Typ(Or(Atomic("A"), Atomic("B"))), Atomic("C"),
                              Cmp.GT, F(0))
-            verdict = check_fm_entailment_bounded(kb, goal, SearchConfig(
-                logic=logic, max_domain_size=2, denominator=3))
+            verdict = check_entailment_bounded(kb, goal, SearchConfig(
+                logic=logic, max_domain_size=2, denominator=3, mode="fm"))
             assert isinstance(verdict, NoCountermodel)
