@@ -150,23 +150,47 @@ def interpretation_of_digits(sig: EnumSignature, logic: LogicFamily, n: int, q: 
         individuals={ind: dom[i] for ind, i in element.items()})
 
 
+def enumerate_digits(sig: EnumSignature, max_domain_size: int, denominator: int
+                     ) -> Iterator[tuple[int, list[list[int]], list[list[list[int]]],
+                                         dict[str, int]]]:
+    """(n, digits) of every interpretation in stream order, sizes
+    ascending, the digits laid out as ``_decode`` returns them.  Each
+    size block decodes index 0 once and steps those lists in place, so
+    copy whatever must outlive the next step."""
+    q = denominator
+    for n in range(1, max_domain_size + 1):
+        atoms, roles, element = _decode(sig, n, q, 0)
+        rows = atoms + [row for block in roles for row in block]
+        for k in range(count_interpretations(sig, n, q)):
+            if k:
+                _advance(rows, element, n, q)
+            yield n, atoms, roles, element
+
+
 def enumerate_interpretations(sig: EnumSignature, config: SearchConfig
                               ) -> Iterator[FuzzyInterpretation]:
     """All interpretations with domain size <= the bound and atomic
     valuations on the grid {0, 1/q, ..., 1}; sizes ascending."""
-    for n in range(1, config.max_domain_size + 1):
-        total = count_interpretations(sig, n, config.denominator)
-        for k in range(total):
-            yield interpretation_at(sig, config.logic, n, config.denominator, k)
+    q = config.denominator
+    for n, atoms, roles, element in enumerate_digits(sig, config.max_domain_size, q):
+        yield interpretation_of_digits(sig, config.logic, n, q, atoms, roles, element)
+
+
+def random_digits(rng: random.Random, sig: EnumSignature, domain_size: int, denominator: int
+                  ) -> tuple[list[list[int]], list[list[list[int]]], dict[str, int]]:
+    """The digits, laid out as ``_decode`` returns them, of one uniformly
+    random index of the size-n block (one ``rng.randrange`` draw)."""
+    n = domain_size
+    total = count_interpretations(sig, n, denominator)
+    return _decode(sig, n, denominator, rng.randrange(total))
 
 
 def random_interpretation(rng: random.Random, sig: EnumSignature, logic: LogicFamily,
                           domain_size: int, denominator: int) -> FuzzyInterpretation:
     """One uniformly random grid interpretation (used by the randomized
     property suites)."""
-    n = domain_size
-    total = count_interpretations(sig, n, denominator)
-    return interpretation_at(sig, logic, n, denominator, rng.randrange(total))
+    return interpretation_of_digits(sig, logic, domain_size, denominator,
+                                    *random_digits(rng, sig, domain_size, denominator))
 
 
 # --------------------------------------------------------------------------
@@ -210,19 +234,21 @@ POOL_MIN_SPAN = 4096
 # Scan machinery
 # --------------------------------------------------------------------------
 
+def threshold_numerator(threshold: Fraction, q: int) -> int | Fraction:
+    """``threshold`` as a numerator over q: an int when q * threshold is
+    whole, else the exact Fraction (which compares exactly with ints)."""
+    t = threshold * q
+    return t.numerator if t.denominator == 1 else t
+
+
 # Predicate descriptor: ("entail", kb, goal, mode) or ("validity", goal).
 # Kept as plain picklable tuples so worker processes can evaluate them.
 
 def _compile_axioms(program: Program, axioms, q: int) -> list[tuple]:
     """Per axiom: (its code, the node count its evaluation needs, its
     comparison, its threshold as a numerator over q)."""
-    checks = []
-    for ax in axioms:
-        code = program.add_axiom(ax)
-        t = ax.threshold * q
-        checks.append((code, len(program.nodes), ax.cmp.op,
-                       t.numerator if t.denominator == 1 else t))
-    return checks
+    return [(program.add_axiom(ax), len(program.nodes), ax.cmp.op,
+             threshold_numerator(ax.threshold, q)) for ax in axioms]
 
 
 def _scan_chunk(args) -> tuple[int | None, int, int]:

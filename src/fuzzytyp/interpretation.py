@@ -70,6 +70,9 @@ class Program:
         self.role_slots = {name: i for i, name in enumerate(role_names)}
         self.nodes: list[tuple] = []
         self._ids: dict[tuple, int] = {}
+        # id(concept) -> (concept, node id): a concept object added again
+        # costs one lookup; holding it keeps its id from being reused
+        self._added: dict[int, tuple[Concept, int]] = {}
 
     def _role(self, name: str) -> int:
         slot = self.role_slots.get(name)
@@ -79,6 +82,9 @@ class Program:
 
     def add(self, concept: Concept) -> int:
         """Node id of ``concept``, compiling whatever is new of it."""
+        added = self._added.get(id(concept))
+        if added is not None:
+            return added[1]
         kind = type(concept)
         if kind is Atomic:
             slot = self.concept_slots.get(concept.name)
@@ -107,6 +113,7 @@ class Program:
         if node is None:
             node = self._ids[key] = len(self.nodes)
             self.nodes.append(key)
+        self._added[id(concept)] = (concept, node)
         return node
 
     def add_axiom(self, axiom: FuzzyAxiom) -> tuple:

@@ -20,21 +20,23 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Iterator
 
-from fuzzytyp.algebra import LogicFamily, ONE
+from fuzzytyp.algebra import CONNECTIVES, Connectives, LogicFamily, ONE
 from fuzzytyp.engine import (
     EnumSignature,
     NoCountermodel,
     SearchConfig,
     check_validity_bounded,
-    enumerate_interpretations,
+    enumerate_digits,
     interpretation_of_digits,
-    random_interpretation,
+    random_digits,
+    threshold_numerator,
 )
-from fuzzytyp.interpretation import FuzzyInterpretation, axiom_degree, typical_elements
+from fuzzytyp.interpretation import FuzzyInterpretation, Program, axiom_degree, axiom_value, run
 from fuzzytyp.syntax import (
     And,
     Atomic,
@@ -44,7 +46,6 @@ from fuzzytyp.syntax import (
     Exists,
     Forall,
     Inclusion,
-    KBError,
     Not,
     Or,
     TOP,
@@ -66,7 +67,9 @@ def _inc(lhs: Concept, rhs: Concept, t: tuple[Cmp, Fraction]) -> Inclusion:
 @dataclass(frozen=True)
 class PostulateSchema:
     """One postulate: premise/conclusion axiom schemas over the concept
-    metavariables it uses, plus an optional validity premise."""
+    metavariables it uses, plus an optional validity premise.  Premises
+    are typicality inclusions T(X) <= Y, and no comparison or threshold
+    depends on the substitution (the search reads them off once)."""
 
     name: str
     metavars: tuple[str, ...]
@@ -325,6 +328,10 @@ class ShapeBound:
     roles: tuple[str, ...] = ()
     max_depth: int = 2
 
+    @cached_property
+    def _atomic_concepts(self) -> tuple[Atomic, ...]:
+        return tuple(Atomic(a) for a in self.atoms)
+
 
 @dataclass(frozen=True)
 class KlmStats:
@@ -352,27 +359,8 @@ class HoldsWithinBounds:
 PostulateVerdict = Violated | HoldsWithinBounds
 
 
-def _sample_interpretation(rng: random.Random, sig: EnumSignature, logic: LogicFamily,
-                           domain_size: int, denominator: int) -> FuzzyInterpretation:
-    """Random grid interpretation, drawn from the full grid most of the
-    time but now and then from a small palette of values.  Lumpy
-    valuations produce degree ties, and ties are where typicality sets
-    grow and the interesting counterexamples live; the bias only speeds
-    discovery, witnesses are re-checked like any others."""
-    roll = rng.random()
-    if roll < 0.6:
-        return random_interpretation(rng, sig, logic, domain_size, denominator)
-    n, q = domain_size, denominator
-    palette = [0, rng.choice(range(1, q + 1))]
-    if roll < 0.8:
-        palette.append(rng.choice(range(1, q + 1)))
-    atoms = [[rng.choice(palette) for _ in range(n)] for _ in sig.concepts]
-    roles = [[[rng.choice(palette) for _ in range(n)] for _ in range(n)] for _ in sig.roles]
-    return interpretation_of_digits(sig, logic, n, q, atoms, roles, {})
-
-
 def _random_concept(rng: random.Random, shape: ShapeBound, depth: int) -> Concept:
-    atoms: list[Concept] = [Atomic(a) for a in shape.atoms]
+    atoms = shape._atomic_concepts
     if depth == 0 or rng.random() < 0.45:
         # mostly atoms; Top/Bot now and then
         roll = rng.random()
@@ -389,7 +377,7 @@ def _random_concept(rng: random.Random, shape: ShapeBound, depth: int) -> Concep
     if op == "or":
         return Or(_random_concept(rng, shape, depth - 1),
                   _random_concept(rng, shape, depth - 1))
-    role = rng.choice(list(shape.roles))
+    role = rng.choice(shape.roles)
     filler = _random_concept(rng, shape, depth - 1)
     return Exists(role, filler) if op == "some" else Forall(role, filler)
 
@@ -432,43 +420,152 @@ def _random_substitution(rng: random.Random, schema: PostulateSchema,
     return subst
 
 
-def _force_toward_engagement(rng: random.Random, interp: FuzzyInterpretation,
-                             premises: Sequence[Inclusion], denominator: int
-                             ) -> FuzzyInterpretation:
-    """Rewrite atom valuations so that the premises have a chance to be
-    satisfied non-vacuously: for each premise T(X) <= Cons theta n, push
-    the consequent up on the typical X elements (to 1 for >= 1 premises,
-    to a random positive grid value for > 0 premises).  Best effort
-    only; the instance check re-evaluates the premises afterwards."""
-    new_val = dict(interp.concept_val)
+def _sample_digits(rng: random.Random, sig: EnumSignature, n: int, q: int
+                   ) -> tuple[list[list[int]], list[list[list[int]]]]:
+    """Random grid digits, laid out as the engine decodes them: drawn
+    from the full grid most of the time but now and then from a small
+    palette of values.  Lumpy valuations produce degree ties, and ties
+    are where typicality sets grow and the interesting counterexamples
+    live; the bias only speeds discovery, witnesses are re-checked like
+    any others."""
+    roll = rng.random()
+    if roll < 0.6:
+        atoms, roles, _ = random_digits(rng, sig, n, q)
+        return atoms, roles
+    palette = [0, rng.choice(range(1, q + 1))]
+    if roll < 0.8:
+        palette.append(rng.choice(range(1, q + 1)))
+    atoms = [[rng.choice(palette) for _ in range(n)] for _ in sig.concepts]
+    roles = [[[rng.choice(palette) for _ in range(n)] for _ in range(n)] for _ in sig.roles]
+    return atoms, roles
 
-    def force(concept: Concept, elem: str, target: Fraction) -> None:
-        if isinstance(concept, Atomic):
-            new_val[(concept.name, elem)] = target
-        elif isinstance(concept, And):
-            force(concept.left, elem, target)
-            force(concept.right, elem, target)
-        elif isinstance(concept, Or):
-            force(concept.left, elem, target)
-        # anything else: leave to chance
 
-    for premise in premises:
-        assert isinstance(premise.lhs, Typ)
-        try:
-            typicals = typical_elements(interp, premise.lhs.sub)
-        except KBError:
-            continue
-        # domain order, so that the draws do not depend on set order
-        typicals = [elem for elem in interp.domain if elem in typicals]
-        if premise.cmp is Cmp.GE and premise.threshold == ONE:
-            targets = {elem: ONE for elem in typicals}
-        else:
-            targets = {elem: Fraction(rng.randint(1, denominator), denominator)
-                       for elem in typicals}
-        for elem, target in targets.items():
-            force(premise.rhs, elem, target)
+@dataclass(frozen=True)
+class _Limits:
+    """A schema's comparisons with their thresholds as numerators over
+    q, one per premise and then the conclusion's, and per premise
+    whether it is strong (>= 1).  Read off one probe instance: a
+    schema's comparisons and thresholds do not depend on the concepts
+    substituted."""
 
-    return replace(interp, concept_val=new_val)
+    checks: tuple[tuple[Callable, int | Fraction], ...]
+    strong: tuple[bool, ...]
+
+    @classmethod
+    def of(cls, schema: PostulateSchema, q: int) -> _Limits:
+        probe = {var: TOP for var in schema.metavars}
+        premises = schema.premises(probe)
+        return cls(tuple((ax.cmp.op, threshold_numerator(ax.threshold, q))
+                         for ax in (*premises, schema.conclusion(probe))),
+                   tuple(p.cmp is Cmp.GE and p.threshold == ONE for p in premises))
+
+
+class _Instance:
+    """A postulate instance, built once and compiled into one program
+    over the search signature: the premises' typicality arguments
+    first, then the premises, then the conclusion.  It is checked and
+    forced on grid digits (numerators over q, laid out as the engine
+    decodes them); no interpretation is built."""
+
+    def __init__(self, schema: PostulateSchema, subst: dict[str, Concept],
+                 sig: EnumSignature):
+        self.subst = subst
+        self.premises = schema.premises(subst)
+        program = Program(sig.concepts, sig.roles)
+        self.typ_args = [program.add(p.lhs.sub) for p in self.premises]
+        self.typ_end = len(program.nodes)
+        self.codes = [(program.add_axiom(ax), len(program.nodes))
+                      for ax in (*self.premises, schema.conclusion(subst))]
+        self.nodes = program.nodes
+        self.slots = program.concept_slots
+
+    def check(self, limits: _Limits, ops: Connectives, q: int, n: int,
+              atoms: list[list[int]], roles: list[list[list[int]]]) -> tuple[bool, bool]:
+        """(engaged, holds): whether every premise is satisfied, and
+        whether the instance holds (vacuously when not engaged).  The
+        conclusion is evaluated only when the premises are."""
+        vals: list[list] = []
+        for i, ((code, end), (holds, t)) in enumerate(zip(self.codes, limits.checks)):
+            run(self.nodes, end, vals, ops, q, n, atoms, roles)
+            if not holds(axiom_value(code, vals, ops, q, roles, {}), t):
+                engaged = i == len(self.premises)
+                return engaged, not engaged
+        return True, True
+
+    def force(self, rng: random.Random, limits: _Limits, ops: Connectives, q: int, n: int,
+              atoms: list[list[int]], roles: list[list[list[int]]]) -> None:
+        """Rewrite atom digits in place so that the premises have a chance
+        to be satisfied non-vacuously: for each premise T(X) <= Cons
+        theta n, push the consequent up on the typical X elements (to q
+        for >= 1 premises, to a random positive digit otherwise).  The
+        typical elements are read off the digits as given, in element
+        order.  Best effort only; ``check`` evaluates the premises
+        afterwards."""
+        vals: list[list] = []
+        run(self.nodes, self.typ_end, vals, ops, q, n, atoms, roles)
+        typicals = []
+        for node in self.typ_args:
+            top = max(vals[node])
+            typicals.append([i for i, v in enumerate(vals[node]) if v == top] if top > 0 else [])
+
+        def push(concept: Concept, i: int, digit: int) -> None:
+            kind = type(concept)
+            if kind is Atomic:
+                atoms[self.slots[concept.name]][i] = digit
+            elif kind is And:
+                push(concept.left, i, digit)
+                push(concept.right, i, digit)
+            elif kind is Or:
+                push(concept.left, i, digit)
+            # anything else: leave to chance
+
+        for premise, elems, strong in zip(self.premises, typicals, limits.strong):
+            for i in elems:
+                push(premise.rhs, i, q if strong else rng.randint(1, q))
+
+
+def _certified(schema: PostulateSchema, oracle: Callable[[str, Concept, Concept], bool],
+               subst: dict[str, Concept]) -> bool:
+    if schema.validity is None:
+        return True
+    kind, lvar, rvar = schema.validity
+    return oracle(kind, subst[lvar], subst[rvar])
+
+
+def _random_trials(rng: random.Random, schema: PostulateSchema, shape: ShapeBound,
+                   logic: LogicFamily, sig: EnumSignature, limits: _Limits,
+                   max_domain_size: int, q: int, trials: int
+                   ) -> Iterator[tuple[int, list[list[int]], list[list[list[int]]], _Instance]]:
+    """(n, atoms, roles, instance) of each seeded trial: digits and an
+    instantiation drawn, and on every second trial the digits forced
+    toward engaging the premises."""
+    ops = CONNECTIVES[logic]
+    for trial in range(trials):
+        n = rng.randint(1, max_domain_size)
+        atoms, roles = _sample_digits(rng, sig, n, q)
+        inst = _Instance(schema, _random_substitution(rng, schema, shape, logic), sig)
+        if trial % 2 == 1 and inst.premises:
+            inst.force(rng, limits, ops, q, n, atoms, roles)
+        yield n, atoms, roles, inst
+
+
+class InternalCheckError(RuntimeError):
+    """The trial check on grid digits and ``check_instance`` on the
+    witness interpretation disagree: a defect, never a verdict."""
+
+
+def _witness(schema: PostulateSchema, oracle, logic: LogicFamily, sig: EnumSignature,
+             n: int, q: int, atoms: list[list[int]], roles: list[list[list[int]]],
+             inst: _Instance, stats: KlmStats) -> Violated:
+    """The violating trial as an interpretation, re-checked through
+    ``check_instance``."""
+    interp = interpretation_of_digits(sig, logic, n, q, atoms, roles, {})
+    check = check_instance(interp, schema, oracle, **inst.subst)
+    if check.holds:
+        raise InternalCheckError(
+            f"{schema.name}: the trial check found a violation that check_instance "
+            f"does not confirm for {inst.subst!r}")
+    return Violated(interp, check, stats)
 
 
 def search_counterexample(postulate: str | PostulateSchema, logic: LogicFamily,
@@ -485,6 +582,10 @@ def search_counterexample(postulate: str | PostulateSchema, logic: LogicFamily,
     the premises.  Exhaustive mode enumerates instantiations small-first
     and scans the full bounded interpretation space for each, examining
     at most ``trials`` interpretations in all; it does not use the seed.
+
+    Every trial is checked on grid digits; an interpretation is built
+    only for a violating trial, whose ``InstanceCheck`` comes from
+    ``check_instance`` (a disagreement raises ``InternalCheckError``).
     """
     if max_domain_size < 1:
         raise ValueError("max_domain_size must be >= 1")
@@ -497,60 +598,42 @@ def search_counterexample(postulate: str | PostulateSchema, logic: LogicFamily,
     schema = POSTULATES[postulate] if isinstance(postulate, str) else postulate
     oracle = catalog_oracle(logic)
     sig = EnumSignature(concepts=shape.atoms, roles=shape.roles)
+    q = denominator
+    ops = CONNECTIVES[logic]
+    limits = _Limits.of(schema, q)
     engaged = vacuous = uncertified = 0
 
-    def run(interp: FuzzyInterpretation, subst: dict[str, Concept]
-            ) -> InstanceCheck | None:
-        nonlocal engaged, vacuous, uncertified
-        try:
-            check = check_instance(interp, schema, oracle,
-                                   **{v: subst[v] for v in schema.metavars})
-        except UncertifiedPremiseError:
-            uncertified += 1
-            return None
-        if check.vacuous:
-            vacuous += 1
-        else:
-            engaged += 1
-        return check
-
     if exhaustive:
-        space = SearchConfig(logic=logic, max_domain_size=max_domain_size,
-                             denominator=denominator)
         spent = 0
-        exhausted = False
         candidates = list(_concept_candidates(shape))
         for subst_tuple in itertools.product(candidates, repeat=len(schema.metavars)):
             subst = dict(zip(schema.metavars, subst_tuple))
-            if schema.validity is not None:
-                kind, lvar, rvar = schema.validity
-                if not oracle(kind, subst[lvar], subst[rvar]):
-                    uncertified += 1
-                    continue
-            for interp in enumerate_interpretations(sig, space):
+            if not _certified(schema, oracle, subst):
+                uncertified += 1
+                continue
+            inst = _Instance(schema, subst, sig)
+            for n, atoms, roles, _ in enumerate_digits(sig, max_domain_size, q):
                 spent += 1
                 if spent > trials:
-                    exhausted = True
-                    break
-                check = run(interp, subst)
-                if check is not None and not check.holds:
-                    stats = KlmStats(spent, engaged, vacuous, uncertified, exhausted)
-                    return Violated(interp, check, stats)
-            if exhausted:
-                break
-        return HoldsWithinBounds(KlmStats(spent, engaged, vacuous, uncertified, exhausted))
+                    return HoldsWithinBounds(KlmStats(spent, engaged, vacuous, uncertified, True))
+                hit, holds = inst.check(limits, ops, q, n, atoms, roles)
+                engaged += hit
+                vacuous += not hit
+                if not holds:
+                    stats = KlmStats(spent, engaged, vacuous, uncertified, False)
+                    return _witness(schema, oracle, logic, sig, n, q, atoms, roles, inst, stats)
+        return HoldsWithinBounds(KlmStats(spent, engaged, vacuous, uncertified, False))
 
     rng = random.Random(seed)
-    for trial in range(trials):
-        interp = _sample_interpretation(
-            rng, sig, logic, rng.randint(1, max_domain_size), denominator)
-        subst = _random_substitution(rng, schema, shape, logic)
-        if trial % 2 == 1:
-            premises = schema.premises(subst)
-            if premises:
-                interp = _force_toward_engagement(rng, interp, premises, denominator)
-        check = run(interp, subst)
-        if check is not None and not check.holds:
+    for trial, (n, atoms, roles, inst) in enumerate(_random_trials(
+            rng, schema, shape, logic, sig, limits, max_domain_size, q, trials)):
+        if not _certified(schema, oracle, inst.subst):
+            uncertified += 1
+            continue
+        hit, holds = inst.check(limits, ops, q, n, atoms, roles)
+        engaged += hit
+        vacuous += not hit
+        if not holds:
             stats = KlmStats(trial + 1, engaged, vacuous, uncertified, False)
-            return Violated(interp, check, stats)
+            return _witness(schema, oracle, logic, sig, n, q, atoms, roles, inst, stats)
     return HoldsWithinBounds(KlmStats(trials, engaged, vacuous, uncertified, False))

@@ -111,7 +111,23 @@ BOTTOM = Bottom()
 
 
 def contains_typ(concept: Concept) -> bool:
-    return any(isinstance(c, Typ) for c in subconcepts(concept))
+    """Whether ``T(...)`` occurs anywhere in the concept tree.  An
+    explicit stack, so it costs no generator frames and runs on trees of
+    any depth (every ``Typ(...)`` construction calls it)."""
+    stack = [concept]
+    while stack:
+        c = stack.pop()
+        kind = type(c)
+        if kind is Typ:
+            return True
+        if kind is And or kind is Or:
+            stack.append(c.left)
+            stack.append(c.right)
+        elif kind is Not:
+            stack.append(c.sub)
+        elif kind is Exists or kind is Forall:
+            stack.append(c.filler)
+    return False
 
 
 def subconcepts(concept: Concept) -> Iterator[Concept]:
@@ -189,7 +205,8 @@ _CMP_FUNCS = {
 
 
 def _check_threshold(n: Fraction) -> Fraction:
-    if not 0 <= n <= 1:
+    num, den = n.as_integer_ratio()  # den > 0; cheaper than two Fraction compares
+    if not 0 <= num <= den:
         raise ThresholdRangeError(f"threshold {n} outside [0, 1]")
     return n
 

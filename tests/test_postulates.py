@@ -7,12 +7,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from fuzzytyp.algebra import LogicFamily
+from fuzzytyp import cli
+from fuzzytyp.algebra import CONNECTIVES, LogicFamily
 from fuzzytyp.engine import (
     EnumSignature,
     NoCountermodel,
     SearchConfig,
     check_entailment_bounded,
+    interpretation_of_digits,
     random_interpretation,
 )
 from fuzzytyp.interpretation import FuzzyInterpretation, satisfies
@@ -20,9 +22,13 @@ from fuzzytyp.parser import parse_interpretation, serialize_interpretation
 from fuzzytyp.postulates import (
     POSTULATES,
     HoldsWithinBounds,
+    InternalCheckError,
     ShapeBound,
     UncertifiedPremiseError,
     Violated,
+    _Instance,
+    _Limits,
+    _random_trials,
     catalog_oracle,
     certify_catalog_entry,
     check_instance,
@@ -39,6 +45,7 @@ from fuzzytyp.syntax import (
     Typ,
     WeightedKB,
     WeightedTypicalityInclusion,
+    concept_to_text,
 )
 
 GODEL = LogicFamily.GODEL
@@ -205,6 +212,195 @@ class TestSearch:
         assert isinstance(a, Violated) and isinstance(b, Violated)
         assert a.interp == b.interp
         assert a.check.substitution == b.check.substitution
+
+
+def render(verdict) -> list[str]:
+    """The search counts, then any witness in the shape of the klm-test
+    records."""
+    s = verdict.stats
+    lines = [f"stats {s.trials} {s.engaged} {s.vacuous} {s.uncertified} {s.budget_exhausted}"]
+    if isinstance(verdict, Violated):
+        c = verdict.check
+        lines += [f"subst {var} {concept_to_text(x)}" for var, x in sorted(c.substitution.items())]
+        lines += [f"premise {p} {d}" for p, d in zip(c.premises, c.premise_degrees)]
+        lines += [f"conclusion {c.conclusion} {c.conclusion_degree}"]
+        lines += [f"cm {line}" for line in serialize_interpretation(verdict.interp).splitlines()]
+    return lines
+
+
+#: (postulate, family, depth, max domain, q, trials, seed, exhaustive,
+#: roles) and the rendered verdict, recorded when every trial still
+#: built an interpretation.  The benchmark sums these counts but never
+#: compares them, so a changed draw order, forcing rule or enumeration
+#: order shows up here first.
+GOLDEN = [
+    (('AND1', 'zadeh', 2, 5, 6, 400, 3, False, ()), [
+        'stats 400 153 247 0 False',
+    ]),
+    (('CM1', 'product', 2, 5, 6, 300, 4, False, ()), [
+        'stats 300 143 157 0 False',
+    ]),
+    (('REFL1', 'product', 2, 5, 6, 3000, 7, False, ()), [
+        'stats 1 1 0 0 False',
+        'subst C P3',
+        'conclusion T(P3) <= P3 >= 1 2/3',
+        'cm domain e0 e1 e2',
+        'cm concept P2 e0 2/3',
+        'cm concept P3 e2 2/3',
+    ]),
+    (('CM0', 'godel', 2, 3, 4, 20000, 0, False, ()), [
+        'stats 736 448 288 0 False',
+        'subst A P3',
+        'subst C P2',
+        'subst D P1',
+        'premise T(P3) <= P1 > 0 1/4',
+        'premise T(P3) <= P2 > 0 1/2',
+        'conclusion T((and P3 P1)) <= P2 > 0 0',
+        'cm domain e0 e1',
+        'cm concept P1 e0 1/4',
+        'cm concept P1 e1 1/4',
+        'cm concept P2 e1 1/2',
+        'cm concept P3 e0 1/4',
+        'cm concept P3 e1 1/2',
+    ]),
+    (('OR1', 'lukasiewicz', 0, 3, 4, 20000, 0, False, ()), [
+        'stats 16 8 8 0 False',
+        'subst A P2',
+        'subst B P2',
+        'subst C P1',
+        'premise T(P2) <= P1 >= 1 1',
+        'premise T(P2) <= P1 >= 1 1',
+        'conclusion T((or P2 P2)) <= P1 >= 1 1/2',
+        'cm domain e0 e1 e2',
+        'cm concept P1 e0 1/2',
+        'cm concept P1 e1 1',
+        'cm concept P1 e2 1',
+        'cm concept P2 e0 1/2',
+        'cm concept P2 e1 3/4',
+        'cm concept P2 e2 3/4',
+        'cm concept P3 e0 1/4',
+        'cm concept P3 e1 1',
+    ]),
+    (('LLE1', 'zadeh', 2, 5, 6, 300, 2, False, ()), [
+        'stats 300 195 105 0 False',
+    ]),
+    (('CMSTAR', 'godel', 2, 4, 5, 400, 5, False, ()), [
+        'stats 400 179 221 0 False',
+    ]),
+    (('RW0', 'lukasiewicz', 2, 3, 4, 300, 6, False, ()), [
+        'stats 300 187 113 0 False',
+    ]),
+    (('REFL1', 'godel', 2, 1, 2, 500, 0, True, ()), [
+        'stats 2 2 0 0 False',
+        'subst C P1',
+        'conclusion T(P1) <= P1 >= 1 1/2',
+        'cm domain e0',
+        'cm concept P1 e0 1/2',
+    ]),
+    (('LLE1', 'zadeh', 1, 2, 2, 3000, 0, True, ()), [
+        'stats 3001 1002 1998 11820 True',
+    ]),
+    (('CM0', 'godel', 0, 2, 2, 40000, 0, True, ()), [
+        'stats 5658 3706 1952 0 False',
+        'subst A P1',
+        'subst C P2',
+        'subst D P3',
+        'premise T(P1) <= P3 > 0 1/2',
+        'premise T(P1) <= P2 > 0 1/2',
+        'conclusion T((and P1 P3)) <= P2 > 0 0',
+        'cm domain e0 e1',
+        'cm concept P1 e0 1',
+        'cm concept P1 e1 1/2',
+        'cm concept P2 e0 1/2',
+        'cm concept P3 e0 1/2',
+        'cm concept P3 e1 1/2',
+    ]),
+    (('CM0', 'product', 2, 3, 4, 3000, 1, False, ()), [
+        'stats 302 186 116 0 False',
+        'subst A (or (or P3 P2) P1)',
+        'subst C (not (not P2))',
+        'subst D P1',
+        'premise T((or (or P3 P2) P1)) <= P1 > 0 1/4',
+        'premise T((or (or P3 P2) P1)) <= (not (not P2)) > 0 1',
+        'conclusion T((and (or (or P3 P2) P1) P1)) <= (not (not P2)) > 0 0',
+        'cm domain e0 e1 e2',
+        'cm concept P1 e0 3/4',
+        'cm concept P1 e1 1/2',
+        'cm concept P1 e2 1/4',
+        'cm concept P2 e2 1/2',
+        'cm concept P3 e0 1/4',
+        'cm concept P3 e1 1/2',
+        'cm concept P3 e2 3/4',
+    ]),
+    (('AND0', 'godel', 2, 3, 3, 300, 8, False, ('r',)), [
+        'stats 300 194 106 0 False',
+    ]),
+    (('CM0', 'zadeh', 1, 3, 3, 3000, 9, False, ('r',)), [
+        'stats 41 28 13 0 False',
+        'subst A P3',
+        'subst C P2',
+        'subst D (not P3)',
+        'premise T(P3) <= (not P3) > 0 1/3',
+        'premise T(P3) <= P2 > 0 1/3',
+        'conclusion T((and P3 (not P3))) <= P2 > 0 0',
+        'cm domain e0 e1 e2',
+        'cm concept P1 e0 2/3',
+        'cm concept P1 e2 2/3',
+        'cm concept P2 e1 1/3',
+        'cm concept P2 e2 1/3',
+        'cm concept P3 e0 1/3',
+        'cm concept P3 e1 2/3',
+        'cm role r e0 e1 1/3',
+        'cm role r e1 e1 2/3',
+        'cm role r e1 e2 1/3',
+        'cm role r e2 e1 2/3',
+    ]),
+]
+
+
+@pytest.mark.parametrize("cell, expected", GOLDEN,
+                         ids=[f"{c[0]}-{c[1]}-{'exhaustive' if c[7] else c[6]}"
+                              for c, _ in GOLDEN])
+def test_search_results_are_pinned(cell, expected):
+    postulate, family, depth, n, q, trials, seed, exhaustive, roles = cell
+    verdict = search_counterexample(postulate, LogicFamily(family),
+                                    ShapeBound(roles=roles, max_depth=depth),
+                                    max_domain_size=n, denominator=q, trials=trials,
+                                    seed=seed, exhaustive=exhaustive)
+    assert render(verdict) == expected
+
+
+@pytest.mark.parametrize("logic", list(LogicFamily), ids=str)
+@pytest.mark.parametrize("postulate", sorted(POSTULATES))
+def test_trial_check_agrees_with_check_instance(postulate, logic):
+    """Each drawn (and, every second trial, forced) trial's result on
+    grid digits equals check_instance on the same digits built into an
+    interpretation."""
+    schema = POSTULATES[postulate]
+    oracle = catalog_oracle(logic)
+    ops = CONNECTIVES[logic]
+    for seed, max_n, q, roles in ((0, 3, 2, ()), (1, 4, 3, ()), (2, 3, 6, ("r",))):
+        shape = ShapeBound(roles=roles)
+        sig = EnumSignature(shape.atoms, shape.roles)
+        limits = _Limits.of(schema, q)
+        trials = _random_trials(random.Random(seed), schema, shape, logic, sig, limits,
+                                max_n, q, 40)
+        for n, atoms, role_digits, inst in trials:
+            interp = interpretation_of_digits(sig, logic, n, q, atoms, role_digits, {})
+            check = check_instance(interp, schema, oracle, **inst.subst)
+            fast = inst.check(limits, ops, q, n, atoms, role_digits)
+            assert fast == (not check.vacuous, check.holds), inst.subst
+
+
+def test_a_witness_check_instance_rejects_is_an_internal_error(monkeypatch, capsys):
+    # AND1 holds in Godel, so no trial check_instance re-checks can be
+    # a violation
+    monkeypatch.setattr(_Instance, "check", lambda self, *args: (True, False))
+    with pytest.raises(InternalCheckError):
+        search_counterexample("AND1", GODEL, trials=10)
+    code = cli.main(["klm-test", "--postulate", "AND1", "--logic", "godel", "--trials", "10"])
+    assert code == cli.EXIT_INTERNAL
+    assert "internal error: InternalCheckError" in capsys.readouterr().err
 
 
 class TestPostulateTable:

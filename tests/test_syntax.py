@@ -14,6 +14,7 @@ from fuzzytyp.syntax import (
     Exists,
     Inclusion,
     NestedTypicalityError,
+    Not,
     Or,
     RoleAssertion,
     ThresholdRangeError,
@@ -42,6 +43,21 @@ class TestConcepts:
         t = Typ(And(A, B))
         assert contains_typ(t)
         assert not contains_typ(t.sub)
+
+    def test_typ_under_negation_rejected(self):
+        with pytest.raises(NestedTypicalityError):
+            Typ(Not(Typ(A)))
+
+    def test_typ_over_a_deep_chain(self):
+        # built through the API, so no parser nesting limit applies;
+        # the nesting check must not recurse once per level
+        chain = A
+        for _ in range(5000):
+            chain = Not(chain)
+        assert not contains_typ(chain)
+        assert Typ(chain).sub is chain
+        with pytest.raises(NestedTypicalityError):
+            Typ(And(chain, Exists("r", Typ(B))))
 
     def test_serialization_shapes(self):
         c = Exists("r", And(A, Typ(Or(B, TOP))))
