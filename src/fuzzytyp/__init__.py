@@ -41,10 +41,8 @@ from fuzzytyp.parser import (
 )
 from fuzzytyp.interpretation import (
     FuzzyInterpretation,
-    InducedPreference,
     axiom_degree,
     eval_concept,
-    induced_preference,
     is_model_strict,
     satisfies,
     typical_elements,

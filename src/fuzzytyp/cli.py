@@ -17,7 +17,7 @@ import traceback
 from dataclasses import replace
 from pathlib import Path
 
-from fuzzytyp.algebra import LogicFamily, logic_from_name
+from fuzzytyp.algebra import logic_from_name
 from fuzzytyp.engine import NoCountermodel, Refuted, SearchConfig, check_entailment_bounded
 from fuzzytyp.interpretation import is_model_strict
 from fuzzytyp.mlp import parse_net, parse_stimuli, verify_network_faithfulness
@@ -35,7 +35,7 @@ from fuzzytyp.postulates import (
     Violated,
     search_counterexample,
 )
-from fuzzytyp.syntax import KBError, concept_to_text, validate_kb
+from fuzzytyp.syntax import KBError, WeightedKB, concept_to_text, validate_kb
 from fuzzytyp.weighted import is_coherent, is_fm_model, weight_table
 
 RECORDS_HEADER = "fuzzytyp-records 1"
@@ -125,8 +125,14 @@ class _Printer:
         sys.stdout.write("\n".join(self.lines) + ("\n" if self.lines else ""))
 
 
-def _load_logic(name: str | None, default: LogicFamily) -> LogicFamily:
-    return default if name is None else logic_from_name(name)
+def _load_kb(args) -> WeightedKB:
+    """The KB file ``args.kb``, validated (a violation is a ``KBError``),
+    in the logic family ``--logic`` names, if it names one."""
+    kb = parse_kb(args.kb.read_text())
+    problems = validate_kb(kb)
+    if problems:
+        raise KBError("; ".join(str(p) for p in problems))
+    return kb if args.logic is None else replace(kb, logic=logic_from_name(args.logic))
 
 
 def _emit_interpretation(out: _Printer, interp, prefix: str) -> None:
@@ -142,13 +148,8 @@ def _emit_violations(out: _Printer, violations) -> None:
 
 
 def cmd_check_model(args, out: _Printer) -> int:
-    kb = parse_kb(args.kb.read_text())
-    problems = validate_kb(kb)
-    if problems:
-        raise KBError("; ".join(str(p) for p in problems))
-    logic = _load_logic(args.logic, kb.logic)
-    kb = replace(kb, logic=logic)
-    interp = parse_interpretation(args.interpretation.read_text(), logic, kb)
+    kb = _load_kb(args)
+    interp = parse_interpretation(args.interpretation.read_text(), kb.logic, kb)
 
     strict_ok, strict_violations = is_model_strict(interp, kb)
     out.both(f"strict part: {'satisfied' if strict_ok else 'violated'}",
@@ -173,11 +174,9 @@ def cmd_check_model(args, out: _Printer) -> int:
 
 
 def cmd_entail(args, out: _Printer) -> int:
-    kb = parse_kb(args.kb.read_text())
-    logic = _load_logic(args.logic, kb.logic)
-    kb = replace(kb, logic=logic)
+    kb = _load_kb(args)
     goal = parse_axiom(args.axiom, kb)
-    config = SearchConfig(logic=logic, max_domain_size=args.max_domain,
+    config = SearchConfig(logic=kb.logic, max_domain_size=args.max_domain,
                           denominator=args.denominator, budget=args.budget,
                           mode=args.mode, jobs=args.jobs)
     verdict = check_entailment_bounded(kb, goal, config)

@@ -35,7 +35,7 @@ from fuzzytyp.syntax import (
     concept_names,
     role_names,
 )
-from fuzzytyp.weighted import compile_table, is_faithful_order, scaled_weights
+from fuzzytyp.weighted import compile_table, follows_preference, scaled_weights
 
 
 @dataclass(frozen=True)
@@ -241,8 +241,9 @@ def threshold_numerator(threshold: Fraction, q: int) -> int | Fraction:
     return t.numerator if t.denominator == 1 else t
 
 
-# Predicate descriptor: ("entail", kb, goal, mode) or ("validity", goal).
-# Kept as plain picklable tuples so worker processes can evaluate them.
+# The question scanned is a (kb, goal, mode) tuple, which pickles, so
+# worker processes can evaluate it.  Validity is entailment from the
+# empty KB.
 
 def _compile_axioms(program: Program, axioms, q: int) -> list[tuple]:
     """Per axiom: (its code, the node count its evaluation needs, its
@@ -260,20 +261,15 @@ def _scan_chunk(args) -> tuple[int | None, int, int]:
     into grid numerators over q, and each next one is a step of those
     digits; each is checked on them: the strict part, then, in fm mode,
     faithfulness, then the goal."""
-    sig, logic, n, q, start, stop, pred = args
+    sig, logic, n, q, start, stop, (kb, goal, mode) = args
     program = Program(sig.concepts, sig.roles)
-    strict: list[tuple] = []
+    strict = _compile_axioms(program, kb.all_axioms(), q)
     tables: list[tuple] = []
-    if pred[0] == "entail":
-        _, kb, goal, mode = pred
-        strict = _compile_axioms(program, kb.all_axioms(), q)
-        if mode == "fm":
-            for name in kb.distinguished:
-                if kb.weighted_inclusions(name):
-                    _, terms = compile_table(program, kb, name)
-                    tables.append((program.concept_slots[name], len(program.nodes), terms))
-    else:
-        goal = pred[1]
+    if mode == "fm":
+        for name in kb.distinguished:
+            if kb.weighted_inclusions(name):
+                _, terms = compile_table(program, kb, name)
+                tables.append((program.concept_slots[name], len(program.nodes), terms))
     [(goal_code, goal_end, goal_holds, goal_t)] = _compile_axioms(program, [goal], q)
     nodes = program.nodes
     ops = CONNECTIVES[logic]
@@ -293,7 +289,7 @@ def _scan_chunk(args) -> tuple[int | None, int, int]:
             for slot, end, terms in tables:
                 run(nodes, end, vals, ops, q, n, atoms, roles)
                 degrees = atoms[slot]
-                if not is_faithful_order(degrees, scaled_weights(degrees, vals, terms)):
+                if not follows_preference(degrees, scaled_weights(degrees, vals, terms)):
                     break
             else:  # a model, an fm-model in fm mode
                 models += 1
@@ -303,7 +299,7 @@ def _scan_chunk(args) -> tuple[int | None, int, int]:
     return None, stop - start, models
 
 
-def _scan(sig: EnumSignature, config: SearchConfig, pred) -> EntailmentVerdict:
+def _scan(sig: EnumSignature, config: SearchConfig, question: tuple) -> EntailmentVerdict:
     examined = 0
     models = 0
     truncated = False
@@ -321,7 +317,7 @@ def _scan(sig: EnumSignature, config: SearchConfig, pred) -> EntailmentVerdict:
 
         if config.jobs == 1 or span < POOL_MIN_SPAN:
             found, seen, m = _scan_chunk((sig, config.logic, n, config.denominator,
-                                          0, span, pred))
+                                          0, span, question))
             examined += seen
             models += m
         else:
@@ -330,7 +326,7 @@ def _scan(sig: EnumSignature, config: SearchConfig, pred) -> EntailmentVerdict:
             with ProcessPoolExecutor(max_workers=config.jobs) as pool:
                 futures = [pool.submit(_scan_chunk,
                                        (sig, config.logic, n, config.denominator,
-                                        s, min(s + chunk, span), pred))
+                                        s, min(s + chunk, span), question))
                            for s in starts]
                 # chunk-ordered aggregation keeps the verdict identical to
                 # the sequential scan: the first countermodel by index wins
@@ -416,9 +412,11 @@ def check_entailment_bounded(kb: WeightedKB, goal: FuzzyAxiom,
     """Search for a model of the KB (its strict part in plain mode, an
     fm-model in fm mode) falsifying the goal axiom."""
     sig = signature_for(kb, goal)
-    return _scan(sig, config, ("entail", kb, goal, config.mode))
+    return _scan(sig, config, (kb, goal, config.mode))
 
 
 def check_validity_bounded(goal: FuzzyAxiom, config: SearchConfig) -> EntailmentVerdict:
-    """Search for any interpretation at all falsifying the axiom."""
-    return _scan(signature_of_axiom(goal), config, ("validity", goal))
+    """Search for any interpretation at all falsifying the axiom: an
+    entailment scan from the empty KB over the axiom's own names."""
+    empty = WeightedKB(logic=config.logic, concepts=())
+    return _scan(signature_of_axiom(goal), config, (empty, goal, config.mode))

@@ -38,7 +38,6 @@ from fuzzytyp.syntax import (
     Forall,
     FuzzyAxiom,
     Inclusion,
-    NestedTypicalityError,
     Not,
     Or,
     RoleAssertion,
@@ -46,7 +45,6 @@ from fuzzytyp.syntax import (
     Typ,
     UndeclaredNameError,
     WeightedKB,
-    contains_typ,
 )
 
 # Node opcodes.  A node is (op, a, b): for NOT/TYP ``a`` and for AND/OR
@@ -266,56 +264,13 @@ def eval_concept(interp: FuzzyInterpretation, concept: Concept, elem: str) -> De
     return k.degree(k.values(concept)[k.index[elem]])
 
 
-@dataclass(frozen=True)
-class InducedPreference:
-    """Strict preference induced by a concept's membership degrees:
-    (x, y) is in ``pairs`` iff x's degree is strictly higher than y's."""
-
-    concept: Concept
-    domain: tuple[str, ...]
-    pairs: frozenset[tuple[str, str]]
-
-    def prefers(self, x: str, y: str) -> bool:
-        return (x, y) in self.pairs
-
-    def is_irreflexive(self) -> bool:
-        return all((x, x) not in self.pairs for x in self.domain)
-
-    def is_transitive(self) -> bool:
-        return all((x, z) in self.pairs
-                   for (x, y) in self.pairs
-                   for (y2, z) in self.pairs if y2 == y)
-
-    def is_modular(self) -> bool:
-        return all((x, z) in self.pairs or (z, y) in self.pairs
-                   for (x, y) in self.pairs
-                   for z in self.domain)
-
-    def is_well_founded(self) -> bool:
-        # a strict order on a finite domain is well-founded iff acyclic;
-        # transitivity + irreflexivity already rule cycles out
-        return self.is_irreflexive() and self.is_transitive()
-
-
-def induced_preference(interp: FuzzyInterpretation, concept: Concept) -> InducedPreference:
-    vals = dict(zip(interp.domain, interp._kernel.values(concept)))
-    pairs = frozenset((x, y) for x in interp.domain for y in interp.domain
-                      if vals[x] > vals[y])
-    return InducedPreference(concept, interp.domain, pairs)
-
-
 def typical_elements(interp: FuzzyInterpretation, concept: Concept) -> set[str]:
     """Elements whose degree in ``concept`` is maximal among the positive
-    ones; empty iff the concept has degree 0 everywhere."""
-    if isinstance(concept, Typ):
-        concept = concept.sub
-    if contains_typ(concept):
-        raise NestedTypicalityError("typicality operator may not be nested")
-    vals = interp._kernel.values(concept)
-    top = max(vals)
-    if top == 0:
-        return set()
-    return {x for x, v in zip(interp.domain, vals) if v == top}
+    ones, read off ``T(concept)``: the elements where it is nonzero.
+    Empty iff the concept has degree 0 everywhere."""
+    if not isinstance(concept, Typ):
+        concept = Typ(concept)  # raises NestedTypicalityError if nested
+    return {x for x, v in zip(interp.domain, interp._kernel.values(concept)) if v}
 
 
 def axiom_degree(interp: FuzzyInterpretation, axiom: FuzzyAxiom) -> Degree:

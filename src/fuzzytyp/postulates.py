@@ -462,7 +462,7 @@ class _Limits:
 
 class _Instance:
     """A postulate instance, built once and compiled into one program
-    over the search signature: the premises' typicality arguments
+    over the search signature: the premises' typicality concepts
     first, then the premises, then the conclusion.  It is checked and
     forced on grid digits (numerators over q, laid out as the engine
     decodes them); no interpretation is built."""
@@ -472,7 +472,7 @@ class _Instance:
         self.subst = subst
         self.premises = schema.premises(subst)
         program = Program(sig.concepts, sig.roles)
-        self.typ_args = [program.add(p.lhs.sub) for p in self.premises]
+        self.typs = [program.add(p.lhs) for p in self.premises]
         self.typ_end = len(program.nodes)
         self.codes = [(program.add_axiom(ax), len(program.nodes))
                       for ax in (*self.premises, schema.conclusion(subst))]
@@ -498,15 +498,12 @@ class _Instance:
         to be satisfied non-vacuously: for each premise T(X) <= Cons
         theta n, push the consequent up on the typical X elements (to q
         for >= 1 premises, to a random positive digit otherwise).  The
-        typical elements are read off the digits as given, in element
-        order.  Best effort only; ``check`` evaluates the premises
-        afterwards."""
+        typical elements are those where T(X) is nonzero on the digits
+        as given, in element order.  Best effort only; ``check``
+        evaluates the premises afterwards."""
         vals: list[list] = []
         run(self.nodes, self.typ_end, vals, ops, q, n, atoms, roles)
-        typicals = []
-        for node in self.typ_args:
-            top = max(vals[node])
-            typicals.append([i for i, v in enumerate(vals[node]) if v == top] if top > 0 else [])
+        typicals = [[i for i, v in enumerate(vals[node]) if v] for node in self.typs]
 
         def push(concept: Concept, i: int, digit: int) -> None:
             kind = type(concept)

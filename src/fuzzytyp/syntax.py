@@ -131,15 +131,20 @@ def contains_typ(concept: Concept) -> bool:
 
 
 def subconcepts(concept: Concept) -> Iterator[Concept]:
-    """All nodes of the concept tree, the concept itself included."""
-    yield concept
-    if isinstance(concept, (Not, Typ)):
-        yield from subconcepts(concept.sub)
-    elif isinstance(concept, (And, Or)):
-        yield from subconcepts(concept.left)
-        yield from subconcepts(concept.right)
-    elif isinstance(concept, (Exists, Forall)):
-        yield from subconcepts(concept.filler)
+    """All nodes of the concept tree, the concept itself included, in
+    pre-order.  An explicit stack, so it runs on trees of any depth."""
+    stack = [concept]
+    while stack:
+        c = stack.pop()
+        yield c
+        kind = type(c)
+        if kind is And or kind is Or:
+            stack.append(c.right)
+            stack.append(c.left)
+        elif kind is Not or kind is Typ:
+            stack.append(c.sub)
+        elif kind is Exists or kind is Forall:
+            stack.append(c.filler)
 
 
 def concept_names(concept: Concept) -> set[str]:

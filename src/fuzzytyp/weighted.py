@@ -6,7 +6,8 @@ over C's weighted typicality inclusions, of weight times the element's
 degree in the consequent, provided x belongs to C with positive degree;
 non-members get minus infinity.  Faithfulness demands that strictly
 higher C-membership forces a strictly higher weight; coherence demands
-the two strict orders coincide.
+the two strict orders coincide.  Both are decided by one check on the
+elements sorted into levels of equal degree (``follows_preference``).
 """
 
 from __future__ import annotations
@@ -52,11 +53,26 @@ def scaled_weights(degrees: list, vals: list[list], terms: list[tuple[int, int]]
             for x, degree in enumerate(degrees)]
 
 
-def is_faithful_order(degrees: list, weights: list) -> bool:
+def follows_preference(degrees: list, weights: list, coherent: bool = False) -> bool:
     """Does every strictly higher degree come with a strictly higher
-    weight?"""
-    return all(wx > wy for dx, wx in zip(degrees, weights)
-               for dy, wy in zip(degrees, weights) if dx > dy)
+    weight (faithfulness), and, if ``coherent``, every strictly higher
+    weight with a strictly higher degree?
+
+    The elements are sorted into levels of equal degree.  Faithfulness
+    holds iff each level's lightest weight is above the heaviest weight
+    of every lower level; coherence holds iff, besides, every level has
+    a single weight.  Passing levels climb, so the heaviest weight below
+    a level is the one of the level just under it."""
+    level = top = None  # the current level's degree and heaviest weight
+    for degree, w in sorted(zip(degrees, weights)):
+        if degree != level:
+            if top is not None and not w > top:  # w: the new level's lightest
+                return False
+            level = degree
+        elif coherent and w != top:
+            return False
+        top = w
+    return True
 
 
 def _scaled_table(interp: FuzzyInterpretation, kb: WeightedKB, name: str
@@ -134,6 +150,9 @@ def _scan_pairs(interp: FuzzyInterpretation, kb: WeightedKB, check_converse: boo
         if not kb.weighted_inclusions(name):
             continue
         degrees, weights, denominator = _scaled_table(interp, kb, name)
+        if follows_preference(degrees, weights, check_converse):
+            continue
+        # enumerate the violating ordered pairs only when there are some
         for i, x in enumerate(interp.domain):
             for j, y in enumerate(interp.domain):
                 preferred = degrees[i] > degrees[j]

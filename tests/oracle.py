@@ -7,13 +7,19 @@ sup/inf as explicit loops, spells typicality out through the
 induced-preference minimality definition (the minimal positive
 elements), and enumerates grid interpretations with itertools in the
 engine's documented index order.  No caching and no shortcuts.
+
+The induced preference itself is spelled out as its set of ordered
+pairs, over the degrees ``eval_concept`` reports, with the order
+properties (irreflexive, transitive, modular, well-founded) checked
+from their definitions; faithfulness and coherence are the O(n^2)
+pairwise definitions.
 """
 
 import itertools
 from fractions import Fraction as F
 
 from fuzzytyp.algebra import LogicFamily
-from fuzzytyp.interpretation import FuzzyInterpretation
+from fuzzytyp.interpretation import FuzzyInterpretation, eval_concept
 from fuzzytyp.syntax import (
     And,
     Atomic,
@@ -106,21 +112,78 @@ def ref_weight(interp: FuzzyInterpretation, kb, name: str, x: str):
                 for incl in kb.weighted_inclusions(name)), ZERO)
 
 
+def ref_follows_preference(degrees: list, weights: list, coherent: bool = False) -> bool:
+    """Faithfulness (a strictly higher degree has a strictly higher
+    weight), and with ``coherent`` its converse too, pair by pair."""
+    cells = list(zip(degrees, weights))
+    faithful = all(wx > wy for dx, wx in cells for dy, wy in cells if dx > dy)
+    converse = all(dx > dy for dx, wx in cells for dy, wy in cells if wx > wy)
+    return faithful and (converse or not coherent)
+
+
+def ref_preference_violations(interp: FuzzyInterpretation, kb, coherent: bool = False
+                              ) -> list[tuple]:
+    """(kind, concept, x, y, degree_x, degree_y, weight_x, weight_y) of
+    every ordered pair that breaks faithfulness, or, with ``coherent``,
+    its converse; distinguished concepts in KB order, pairs in domain
+    order.  A concept with an empty weighted table is skipped."""
+    out = []
+    for name in kb.distinguished:
+        if not kb.weighted_inclusions(name):
+            continue
+        for x in interp.domain:
+            for y in interp.domain:
+                dx = interp.concept_val.get((name, x), ZERO)
+                dy = interp.concept_val.get((name, y), ZERO)
+                wx = ref_weight(interp, kb, name, x)
+                wy = ref_weight(interp, kb, name, y)
+                if dx > dy and not wx > wy:
+                    kind = "faithfulness"
+                elif coherent and wx > wy and not dx > dy:
+                    kind = "coherence"
+                else:
+                    continue
+                out.append((kind, name, x, y, dx, dy, wx, wy))
+    return out
+
+
 def ref_is_model(interp: FuzzyInterpretation, kb, mode: str) -> bool:
     for ax in [*kb.tbox, *kb.abox]:
         if not ax.cmp.apply(ref_axiom_degree(interp, ax), ax.threshold):
             return False
-    if mode == "fm":
-        for name in kb.distinguished:
-            if not kb.weighted_inclusions(name):
-                continue
-            for x in interp.domain:
-                for y in interp.domain:
-                    if (interp.concept_val.get((name, x), ZERO)
-                            > interp.concept_val.get((name, y), ZERO)
-                            and not ref_weight(interp, kb, name, x)
-                            > ref_weight(interp, kb, name, y)):
-                        return False
+    return mode != "fm" or not ref_preference_violations(interp, kb)
+
+
+def preference_pairs(interp: FuzzyInterpretation, concept: Concept) -> frozenset:
+    """The strict preference ``concept`` induces: (x, y) for every x
+    whose degree is strictly higher than y's."""
+    degree = {x: eval_concept(interp, concept, x) for x in interp.domain}
+    return frozenset((x, y) for x in interp.domain for y in interp.domain
+                     if degree[x] > degree[y])
+
+
+def is_irreflexive(pairs: frozenset, domain) -> bool:
+    return all((x, x) not in pairs for x in domain)
+
+
+def is_transitive(pairs: frozenset) -> bool:
+    return all((x, z) in pairs for (x, y) in pairs for (y2, z) in pairs if y2 == y)
+
+
+def is_modular(pairs: frozenset, domain) -> bool:
+    return all((x, z) in pairs or (z, y) in pairs for (x, y) in pairs for z in domain)
+
+
+def is_well_founded(pairs: frozenset, domain) -> bool:
+    """Every nonempty subset has a minimal (most preferred) element:
+    peel off the elements nothing left is preferred to until none are
+    left, or none can be peeled."""
+    rest = set(domain)
+    while rest:
+        minimal = {x for x in rest if not any((y, x) in pairs for y in rest)}
+        if not minimal:
+            return False
+        rest -= minimal
     return True
 
 

@@ -24,7 +24,6 @@ from fuzzytyp.engine import (
 from fuzzytyp.interpretation import (
     FuzzyInterpretation,
     eval_concept,
-    induced_preference,
     is_model_strict,
     satisfies,
     typical_elements,
@@ -66,6 +65,13 @@ from fuzzytyp.syntax import (
     validate_kb,
 )
 from fuzzytyp.weighted import is_coherent, is_faithful, is_fm_model, weight
+from oracle import (
+    is_irreflexive,
+    is_modular,
+    is_transitive,
+    is_well_founded,
+    preference_pairs,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -235,9 +241,9 @@ def test_acceptance_6_structural_invariants():
         assert (any(v > 0 for v in values)) == bool(typical)
         for x in interp.domain:
             assert eval_concept(interp, Typ(concept), x) in (F(0), F(1))
-        pref = induced_preference(interp, concept)
-        assert pref.is_irreflexive() and pref.is_transitive()
-        assert pref.is_modular() and pref.is_well_founded()
+        pairs = preference_pairs(interp, concept)
+        assert is_irreflexive(pairs, interp.domain) and is_transitive(pairs)
+        assert is_modular(pairs, interp.domain) and is_well_founded(pairs, interp.domain)
 
     coherent_count = 0
     witness = None

@@ -4,6 +4,7 @@ round trip of emitted countermodels back through check-model."""
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from fuzzytyp.algebra import LogicFamily
 from fuzzytyp.cli import main
 from fuzzytyp.parser import MAX_NESTING
+from fuzzytyp.syntax import Atomic, Cmp, Inclusion, WeightedKB
 
 DATA = Path(__file__).parent / "data"
 PENGUIN_KB = str(DATA / "penguin.fkb")
@@ -307,6 +309,23 @@ def test_logic_override_leaves_the_parsed_kb_alone(capsys, monkeypatch):
         "--max-domain", "1", "--budget", "5")
     run(capsys, "check-model", PENGUIN_KB, PENGUIN_INT, "--logic", "lukasiewicz")
     assert kb.logic is LogicFamily.GODEL
+
+
+@pytest.mark.parametrize("argv", [
+    ["entail", PENGUIN_KB, "A <= A >= 1"],
+    ["check-model", PENGUIN_KB, PENGUIN_INT],
+])
+def test_a_kb_that_fails_validation_is_a_usage_error(capsys, monkeypatch, argv):
+    # the parser rejects what validation would; a KB from elsewhere
+    # must still be validated by every command that loads one
+    import fuzzytyp.cli as cli
+    kb = WeightedKB(logic=LogicFamily.GODEL, concepts=("A",),
+                    tbox=(Inclusion(Atomic("A"), Atomic("Ghost"), Cmp.GE, F(1)),))
+    monkeypatch.setattr(cli, "parse_kb", lambda text: kb)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: tbox[0]: undeclared concept name 'Ghost'\n"
 
 
 def test_klm_records_do_not_depend_on_the_hash_seed():

@@ -20,6 +20,7 @@ from fuzzytyp.engine import (
     enumerate_interpretations,
     interpretation_at,
     signature_for,
+    signature_of_axiom,
 )
 from fuzzytyp.interpretation import is_model_strict, satisfies
 from fuzzytyp.parser import parse_axiom, parse_kb, serialize_interpretation
@@ -227,6 +228,28 @@ class TestValidity:
         verdict = check_validity_bounded(ax, SearchConfig(
             logic=logic, max_domain_size=2, denominator=3))
         assert isinstance(verdict, NoCountermodel)
+
+
+    @pytest.mark.parametrize("logic", list(LogicFamily))
+    def test_is_the_oracle_scan_from_the_empty_kb(self, logic):
+        # validity runs the entailment scan from the empty KB over the
+        # goal's own names: same verdict, countermodel and counts
+        goals = [Inclusion(And(A, B), A, Cmp.GE, F(1)),
+                 Inclusion(C, C, Cmp.GE, F(1)),
+                 Inclusion(Or(A, Not(A)), TOP, Cmp.GT, F(1, 2)),
+                 ConceptAssertion(Exists("r", A), "t", Cmp.LE, F(1, 2))]
+        for goal in goals:
+            config = SearchConfig(logic=logic, max_domain_size=2, denominator=2, budget=500)
+            verdict = check_validity_bounded(goal, config)
+            kb = WeightedKB(logic=logic, concepts=())
+            sig = signature_of_axiom(goal)
+            cm, examined, models, truncated = ref_scan(kb, goal, logic, sig, 2, 2, "plain", 500)
+            assert verdict.stats.examined == verdict.stats.models_found == examined == models
+            assert verdict.stats.truncated == truncated
+            if cm is None:
+                assert isinstance(verdict, NoCountermodel)
+            else:
+                assert verdict.countermodel == cm
 
 
 class TestSignature:

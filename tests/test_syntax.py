@@ -22,8 +22,10 @@ from fuzzytyp.syntax import (
     Typ,
     WeightedKB,
     WeightedTypicalityInclusion,
+    concept_names,
     concept_to_text,
     contains_typ,
+    role_names,
     validate_kb,
 )
 
@@ -58,6 +60,22 @@ class TestConcepts:
         assert Typ(chain).sub is chain
         with pytest.raises(NestedTypicalityError):
             Typ(And(chain, Exists("r", Typ(B))))
+
+    def test_names_and_validation_of_a_deep_chain(self):
+        # 5000 levels built through the API: the name walks and
+        # validation must not recurse once per level
+        chain = Exists("r", A)
+        for _ in range(5000):
+            chain = Not(chain)
+        assert concept_names(chain) == {"A"}
+        assert role_names(chain) == {"r"}
+        kb = WeightedKB(logic=LogicFamily.GODEL, concepts=("A",), roles=("r",),
+                        tbox=(Inclusion(chain, TOP, Cmp.GE, F(1)),))
+        assert validate_kb(kb) == []
+        bad = WeightedKB(logic=LogicFamily.GODEL, concepts=("B",),
+                         tbox=(Inclusion(chain, TOP, Cmp.GE, F(1)),))
+        assert [v.message for v in validate_kb(bad)] == [
+            "undeclared concept name 'A'", "undeclared role name 'r'"]
 
     def test_serialization_shapes(self):
         c = Exists("r", And(A, Typ(Or(B, TOP))))

@@ -1,4 +1,6 @@
-"""Element weights, faithfulness, coherence, fm-modelhood.
+"""Element weights, faithfulness, coherence, fm-modelhood, and the
+level check that decides faithfulness and coherence, against the
+pairwise definitions in ``oracle.py``.
 
 The bird/penguin fixture pins the worked numbers: Reddy weighs 120 as a
 bird and 30 as a penguin, Opus 100 and 120, and bumping Reddy's penguin
@@ -10,24 +12,48 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzytyp.algebra import LogicFamily
-from fuzzytyp.engine import EnumSignature, random_interpretation
+from fuzzytyp.engine import (
+    EnumSignature,
+    SearchConfig,
+    check_entailment_bounded,
+    random_interpretation,
+)
 from fuzzytyp.interpretation import FuzzyInterpretation
+from fuzzytyp.mlp import (
+    Activation,
+    FeedForwardNet,
+    StimulusSet,
+    Synapse,
+    Unit,
+    build_interpretation,
+    mlp_to_kb,
+    unit_name,
+)
 from fuzzytyp.parser import parse_interpretation, parse_kb
 from fuzzytyp.syntax import (
+    And,
     Atomic,
+    Cmp,
+    Inclusion,
+    Not,
+    Or,
+    TOP,
     WeightedKB,
     WeightedTypicalityInclusion,
 )
 from fuzzytyp.weighted import (
     NEG_INF,
+    follows_preference,
     is_coherent,
     is_faithful,
     is_fm_model,
     weight,
     weight_table,
 )
+from oracle import ref_follows_preference, ref_preference_violations
 
 DATA = Path(__file__).parent / "data"
 
@@ -224,3 +250,121 @@ class TestWeightMonotonicity:
         table = weight_table(birds, penguin)
         assert set(table) == {(c, e) for c in penguin.distinguished
                               for e in birds.domain}
+
+
+# numerators over any common denominator: ints on the grid, Fractions
+# off it (product logic); weights may be NEG_INF, ints or Fractions
+NUMERATORS = st.one_of(st.integers(0, 4), st.fractions(0, 4, max_denominator=3))
+WEIGHTS = st.one_of(st.just(NEG_INF), st.integers(-3, 3),
+                    st.fractions(-3, 3, max_denominator=3))
+
+
+class TestLevelCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(NUMERATORS, WEIGHTS), max_size=8),
+           st.booleans(), st.booleans())
+    def test_equals_the_pairwise_definitions(self, cells, members_only, coherent):
+        # members_only gives NEG_INF to exactly the degree-0 elements, as
+        # the weights of an interpretation do; otherwise any mix is drawn
+        degrees = [d for d, _ in cells]
+        weights = [NEG_INF if d == 0 else w for d, w in cells] if members_only else [
+            w for _, w in cells]
+        assert (follows_preference(degrees, weights, coherent)
+                == ref_follows_preference(degrees, weights, coherent))
+
+    def test_ties_and_levels(self):
+        # one level of two equal weights under a heavier level
+        assert follows_preference([1, 1, 2], [5, 5, 6], coherent=True)
+        # a tie in degree with distinct weights is faithful, not coherent
+        assert follows_preference([1, 1, 2], [4, 5, 6])
+        assert not follows_preference([1, 1, 2], [4, 5, 6], coherent=True)
+        # a higher level must clear the heaviest weight below, not the lightest
+        assert not follows_preference([1, 1, 2], [4, 6, 5])
+        assert follows_preference([0, 0, 1], [NEG_INF, NEG_INF, -7], coherent=True)
+        assert follows_preference([], [], coherent=True)
+
+
+def _random_weighted_kb(rng: random.Random, logic: LogicFamily) -> WeightedKB:
+    def w() -> F:
+        return F(rng.randint(-6, 6), rng.randint(1, 3))
+    return WeightedKB(
+        logic=logic, concepts=("A", "B", "C"), distinguished=("A", "B"),
+        wtbox={
+            "A": (WeightedTypicalityInclusion("A", Atomic("C"), w()),
+                  WeightedTypicalityInclusion("A", Or(Atomic("B"), Not(Atomic("C"))), w())),
+            "B": (WeightedTypicalityInclusion("B", And(Atomic("A"), Atomic("C")), w()),
+                  WeightedTypicalityInclusion("B", Atomic("A"), w())),
+        })
+
+
+def _as_tuples(violations) -> list[tuple]:
+    return [(v.kind, v.concept, v.x, v.y, v.degree_x, v.degree_y, v.weight_x, v.weight_y)
+            for v in violations]
+
+
+class TestViolationListsAgainstOracle:
+    """``is_faithful`` and ``is_coherent`` report exactly the pairs, in
+    exactly the order, of a brute-force scan over all ordered pairs."""
+
+    def test_random_interpretations(self):
+        rng = random.Random(5150)
+        sig = EnumSignature(concepts=("A", "B", "C"))
+        seen = {"faithfulness": 0, "coherence": 0}
+        for _ in range(600):
+            logic = rng.choice(list(LogicFamily))
+            interp = random_interpretation(rng, sig, logic, rng.randint(1, 4),
+                                           rng.choice((2, 3, 6)))
+            kb = _random_weighted_kb(rng, logic)
+            ok, faithful = is_faithful(interp, kb)
+            assert _as_tuples(faithful) == ref_preference_violations(interp, kb)
+            assert ok == (not faithful)
+            ok, coherent = is_coherent(interp, kb)
+            assert _as_tuples(coherent) == ref_preference_violations(interp, kb, True)
+            assert ok == (not coherent)
+            for v in coherent:
+                seen[v.kind] += 1
+        assert min(seen.values()) > 50  # both kinds were actually compared
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_mlp_nets(self, activation):
+        rng = random.Random(f"mlp/{activation.value}")
+        seen = 0
+        for _ in range(10):
+            sizes = [2, 3, 2]
+            units = [Unit(unit_name(layer, i), layer, None if layer == 0 else activation)
+                     for layer, size in enumerate(sizes) for i in range(size)]
+            synapses = [Synapse(unit_name(layer - 1, i), unit_name(layer, j),
+                                F(rng.randint(-10, 10), rng.randint(1, 5)))
+                        for layer in (1, 2) for i in range(sizes[layer - 1])
+                        for j in range(sizes[layer])]
+            net = FeedForwardNet(tuple(units), tuple(synapses))
+            stimuli = StimulusSet(
+                tuple(f"s{k}" for k in range(12)),
+                tuple((F(rng.randint(0, 8), 8), F(rng.randint(0, 8), 8)) for _ in range(12)))
+            kb = mlp_to_kb(net)
+            interp = build_interpretation(net, stimuli)
+            assert _as_tuples(is_faithful(interp, kb)[1]) == ref_preference_violations(interp, kb)
+            coherent = is_coherent(interp, kb)[1]
+            assert _as_tuples(coherent) == ref_preference_violations(interp, kb, True)
+            seen += len(coherent)
+        assert seen > 0  # clipped activations tie, so coherence fails somewhere
+
+
+def test_empty_weighted_table_is_skipped():
+    # a distinguished concept with no weighted inclusions constrains
+    # nothing: its members would all weigh 0, so any strict preference
+    # among them could never be matched.  Both the fm scan and the
+    # faithfulness/coherence checks skip it, so every interpretation is
+    # an fm-model of a KB that has nothing else.
+    kb = WeightedKB(logic=LogicFamily.GODEL, concepts=("A",), distinguished=("A",))
+    interp = FuzzyInterpretation(
+        logic=kb.logic, domain=("x", "y"), concept_names=("A",),
+        concept_val={("A", "x"): F(1), ("A", "y"): F(1, 2)})
+    assert weight(interp, kb, "A", "x") == weight(interp, kb, "A", "y") == F(0)
+    assert is_faithful(interp, kb) == (True, [])
+    assert is_coherent(interp, kb) == (True, [])
+    goal = Inclusion(Atomic("A"), TOP, Cmp.GE, F(1))
+    for mode in ("plain", "fm"):
+        verdict = check_entailment_bounded(kb, goal, SearchConfig(
+            logic=kb.logic, max_domain_size=3, denominator=2, mode=mode))
+        assert verdict.stats.examined == verdict.stats.models_found == 3 + 9 + 27
