@@ -142,9 +142,12 @@ def _emit_interpretation(out: _Printer, interp, prefix: str) -> None:
 
 
 def _emit_violations(out: _Printer, violations) -> None:
-    for v in violations:
-        out.both(f"  {v}", "violation", v.kind, v.concept, v.x, v.y,
-                 v.degree_x, v.degree_y, v.weight_x, v.weight_y)
+    for v in violations:  # a net's coherence check can fail on thousands of pairs
+        if out.records:
+            out.rec("violation", v.kind, v.concept, v.x, v.y,
+                    v.degree_x, v.degree_y, v.weight_x, v.weight_y)
+        else:
+            out.human(f"  {v}")
 
 
 def cmd_check_model(args, out: _Printer) -> int:

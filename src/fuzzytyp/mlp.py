@@ -22,6 +22,12 @@ without tolerances:
 
 Bias terms, when present, are a synapse from a declared constant-1
 virtual input unit.
+
+The forward pass runs once over the whole stimulus set, layer by layer,
+on integers: each unit's activations are numerators over one
+denominator of its own, and each unit's net inputs are numerators over
+S = lcm(its sources' denominators) * lcm(its weights' denominators).
+A Fraction is built once per nonzero degree and once per weight.
 """
 
 from __future__ import annotations
@@ -30,17 +36,21 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
+from typing import NamedTuple
 
 from fuzzytyp.algebra import LogicFamily, ONE, ZERO, as_degree
 from fuzzytyp.interpretation import FuzzyInterpretation
+from fuzzytyp.parser import MAX_UNITS, check_name
 from fuzzytyp.syntax import (
     Atomic,
+    KBError,
     KBSyntaxError,
     WeightedKB,
     WeightedTypicalityInclusion,
     parse_number,
 )
-from fuzzytyp.weighted import FmModelReport, is_fm_model, weight_table
+from fuzzytyp.weighted import NEG_INF, ExtendedWeight, FmModelReport, is_fm_model
 
 
 class Activation(Enum):
@@ -48,12 +58,19 @@ class Activation(Enum):
     CLIPPED_LINEAR = "clipped-linear"
     STEP = "step"
 
+    def on_sums(self, sums: list[int], scale: int) -> tuple[list[int], int]:
+        """The activations of the net inputs ``n / scale``, one per
+        numerator n, as numerators over the returned denominator."""
+        if self is Activation.HARD_SIGMOID:  # clamp(n + 3S, 0, 6S) / 6S
+            top, half = 6 * scale, 3 * scale
+            return [0 if (v := n + half) < 0 else top if v > top else v for n in sums], top
+        if self is Activation.CLIPPED_LINEAR:  # clamp(n, 0, S) / S
+            return [0 if n < 0 else scale if n > scale else n for n in sums], scale
+        return [1 if n >= 0 else 0 for n in sums], 1
+
     def __call__(self, x: Fraction) -> Fraction:
-        if self is Activation.HARD_SIGMOID:
-            return min(ONE, max(ZERO, x / 6 + Fraction(1, 2)))
-        if self is Activation.CLIPPED_LINEAR:
-            return min(ONE, max(ZERO, x))
-        return ONE if x >= 0 else ZERO
+        (value,), denominator = self.on_sums([x.numerator], x.denominator)
+        return Fraction(value, denominator)
 
     def __str__(self) -> str:
         return self.value
@@ -73,8 +90,8 @@ class Synapse:
     weight: Fraction
 
 
-class NetError(Exception):
-    pass
+class NetError(KBError):
+    """A net or stimulus set of the wrong shape: an input error."""
 
 
 @dataclass(frozen=True)
@@ -114,8 +131,12 @@ class FeedForwardNet:
     def non_input_units(self) -> list[Unit]:
         return [u for u in self.units if u.layer > 0]
 
-    def incoming(self, name: str) -> list[Synapse]:
-        return [s for s in self.synapses if s.target == name]
+    def incoming(self) -> dict[str, list[Synapse]]:
+        """The synapses into each unit that has some, in net order."""
+        index: dict[str, list[Synapse]] = {}
+        for s in self.synapses:
+            index.setdefault(s.target, []).append(s)
+        return index
 
 
 @dataclass(frozen=True)
@@ -144,10 +165,11 @@ def mlp_to_kb(net: FeedForwardNet, logic: LogicFamily = LogicFamily.GODEL) -> We
     inclusion per incoming synapse; empty strict TBox and ABox."""
     concepts = tuple(u.name for u in net.units)
     distinguished = tuple(u.name for u in net.non_input_units())
+    incoming = net.incoming()
     wtbox = {
         u.name: tuple(
             WeightedTypicalityInclusion(u.name, Atomic(s.source), s.weight)
-            for s in net.incoming(u.name))
+            for s in incoming.get(u.name, ()))
         for u in net.non_input_units()
     }
     return WeightedKB(
@@ -158,48 +180,84 @@ def mlp_to_kb(net: FeedForwardNet, logic: LogicFamily = LogicFamily.GODEL) -> We
     )
 
 
-def forward_pass(net: FeedForwardNet, vector: tuple[Fraction, ...]) -> dict[str, Fraction]:
-    """Exact activation of every unit on one input vector."""
+class ForwardPass(NamedTuple):
+    """A net's exact forward pass over a stimulus set: per unit, its
+    activation on each stimulus (input units, the bias unit, then the
+    rest by layer); per non-input unit, its net input on each stimulus
+    as integer numerators over one denominator."""
+
+    activations: dict[str, list[Fraction]]
+    net_inputs: dict[str, tuple[list[int], int]]
+
+
+def forward_pass(net: FeedForwardNet, stimuli: StimulusSet) -> ForwardPass:
+    """Exact activation of every unit on every stimulus, in one pass
+    over the layers."""
     inputs = net.input_units()
-    if len(vector) != len(inputs):
-        raise NetError(f"stimulus has {len(vector)} components, "
-                       f"input layer has {len(inputs)}")
-    values: dict[str, Fraction] = {u.name: v for u, v in zip(inputs, vector)}
+    for vector in stimuli.vectors:
+        if len(vector) != len(inputs):
+            raise NetError(f"stimulus has {len(vector)} components, "
+                           f"input layer has {len(inputs)}")
+    m = len(stimuli.vectors)
+    # unit -> (activation numerators, their denominator)
+    exact: dict[str, tuple[list[int], int]] = {}
+    activations: dict[str, list[Fraction]] = {}
+    for i, unit in enumerate(inputs):
+        column = [vector[i] for vector in stimuli.vectors]
+        den = lcm(*(v.denominator for v in column))
+        exact[unit.name] = ([v.numerator * (den // v.denominator) for v in column], den)
+        activations[unit.name] = column
     if net.bias_unit is not None:
-        values[net.bias_unit] = ONE
+        exact[net.bias_unit] = ([1] * m, 1)
+        activations[net.bias_unit] = [ONE] * m
+    incoming = net.incoming()
+    net_inputs: dict[str, tuple[list[int], int]] = {}
     for unit in sorted(net.non_input_units(), key=lambda u: u.layer):
-        net_input = sum((s.weight * values[s.source] for s in net.incoming(unit.name)),
-                        Fraction(0))
+        synapses = incoming.get(unit.name, ())
+        sources = lcm(*(exact[s.source][1] for s in synapses))
+        weights = lcm(*(s.weight.denominator for s in synapses))
+        scale = sources * weights
+        sums = [0] * m
+        for s in synapses:
+            nums, den = exact[s.source]
+            coef = s.weight.numerator * (weights // s.weight.denominator) * (sources // den)
+            if coef:
+                sums = [acc + coef * n for acc, n in zip(sums, nums)]
+        net_inputs[unit.name] = (sums, scale)
         assert unit.activation is not None
-        out = unit.activation(net_input)
-        if not ZERO <= out <= ONE:
+        nums, den = unit.activation.on_sums(sums, scale)
+        if min(nums) < 0 or max(nums) > den:
+            out = next(Fraction(n, den) for n in nums if not 0 <= n <= den)
             raise NetError(f"activation of {unit.name!r} left [0, 1]: {out}")
-        values[unit.name] = out
-    return values
+        exact[unit.name] = (nums, den)
+        activations[unit.name] = [Fraction(n, den) if n else ZERO for n in nums]
+    return ForwardPass(activations, net_inputs)
+
+
+def _induced(net: FeedForwardNet, stimuli: StimulusSet, activations: dict[str, list[Fraction]],
+             logic: LogicFamily) -> FuzzyInterpretation:
+    columns = list(activations.items())
+    return FuzzyInterpretation(
+        logic=logic,
+        domain=stimuli.names,
+        concept_names=tuple(u.name for u in net.units),
+        concept_val={(unit, name): value for x, name in enumerate(stimuli.names)
+                     for unit, values in columns if (value := values[x])},
+    )
 
 
 def build_interpretation(net: FeedForwardNet, stimuli: StimulusSet,
                          logic: LogicFamily = LogicFamily.GODEL) -> FuzzyInterpretation:
     """Domain = stimulus names; degree of a stimulus in a unit's concept
     = that unit's exact activation on the stimulus."""
-    concept_val: dict[tuple[str, str], Fraction] = {}
-    for name, vector in zip(stimuli.names, stimuli.vectors):
-        for unit_name, value in forward_pass(net, vector).items():
-            if value != ZERO:
-                concept_val[(unit_name, name)] = value
-    return FuzzyInterpretation(
-        logic=logic,
-        domain=stimuli.names,
-        concept_names=tuple(u.name for u in net.units),
-        concept_val=concept_val,
-    )
+    return _induced(net, stimuli, forward_pass(net, stimuli).activations, logic)
 
 
 @dataclass(frozen=True)
 class NetworkReport:
     faithful: bool
     fm_report: FmModelReport
-    weights: dict[tuple[str, str], object]
+    weights: dict[tuple[str, str], ExtendedWeight]
     kb: WeightedKB
     interpretation: FuzzyInterpretation
 
@@ -208,14 +266,23 @@ def verify_network_faithfulness(net: FeedForwardNet, stimuli: StimulusSet,
                                 logic: LogicFamily = LogicFamily.GODEL) -> NetworkReport:
     """Check that the induced interpretation is a faithful model of the
     emitted knowledge base.  A violation here would be a first-class
-    finding and is reported, never suppressed."""
+    finding and is reported, never suppressed.
+
+    The weight of a stimulus for a unit's concept is the unit's net
+    input, read off the forward pass."""
     kb = mlp_to_kb(net, logic)
-    interp = build_interpretation(net, stimuli, logic)
+    forward = forward_pass(net, stimuli)
+    interp = _induced(net, stimuli, forward.activations, logic)
+    weights: dict[tuple[str, str], ExtendedWeight] = {}
+    for unit in net.non_input_units():
+        sums, scale = forward.net_inputs[unit.name]
+        for name, n, degree in zip(stimuli.names, sums, forward.activations[unit.name]):
+            weights[(unit.name, name)] = Fraction(n, scale) if degree else NEG_INF
     report = is_fm_model(interp, kb)
     return NetworkReport(
         faithful=report.faithful,
         fm_report=report,
-        weights=weight_table(interp, kb),
+        weights=weights,
         kb=kb,
         interpretation=interp,
     )
@@ -245,10 +312,16 @@ def parse_net(text: str) -> FeedForwardNet:
         bias <name>                 # optional constant-1 input unit
         synapse <from> <to> <weight>
 
-    Units are named u<layer>_<index> from the layer sizes.
+    Units are named u<layer>_<index> from the layer sizes; a layer with
+    no activation line gets hard-sigmoid.  The bias name must be one a
+    .fkb file can declare (``parser.check_name``), an activation line
+    must name a non-input layer of the net, and the net may have at most
+    ``parser.MAX_UNITS`` units.
     """
     sizes: list[int] | None = None
+    layers_line = 0
     activations: dict[int, Activation] = {}
+    activation_at: dict[int, tuple[int, int]] = {}  # layer -> its activation line's position
     bias: str | None = None
     synapse_rows: list[tuple[str, str, Fraction]] = []
 
@@ -263,18 +336,26 @@ def parse_net(text: str) -> FeedForwardNet:
                 raise KBSyntaxError("layer sizes must be integers", lineno, 1) from None
             if len(sizes) < 2 or any(s < 1 for s in sizes):
                 raise KBSyntaxError("need at least two positive layer sizes", lineno, 1)
+            layers_line = lineno
         elif key == "activation":
             if len(words) != 3:
                 raise KBSyntaxError("activation <layer> <name>", lineno, 1)
             try:
                 layer = int(words[1])
-                activations[layer] = Activation(words[2])
+                act = Activation(words[2])
             except ValueError:
                 raise KBSyntaxError(f"bad activation line {words!r}", lineno, 1) from None
+            if layer in activations:
+                raise KBSyntaxError(f"duplicate activation line for layer {layer}",
+                                    lineno, cols[1])
+            activations[layer] = act
+            activation_at[layer] = (lineno, cols[1])
         elif key == "bias":
             if len(words) != 2:
                 raise KBSyntaxError("bias <name>", lineno, 1)
-            bias = words[1]
+            if bias is not None:
+                raise KBSyntaxError("duplicate bias line", lineno, 1)
+            bias = check_name(words[1], "bias unit name", lineno, cols[1])
         elif key == "synapse":
             if len(words) != 4:
                 raise KBSyntaxError("synapse <from> <to> <weight>", lineno, 1)
@@ -284,6 +365,12 @@ def parse_net(text: str) -> FeedForwardNet:
 
     if sizes is None:
         raise KBSyntaxError("missing layers line", 1, 1)
+    if sum(sizes) + (bias is not None) > MAX_UNITS:
+        raise KBSyntaxError(f"more than {MAX_UNITS} units", layers_line, 1)
+    for layer, (lineno, col) in activation_at.items():
+        if not 0 < layer < len(sizes):
+            raise KBSyntaxError(f"activation for layer {layer}, but the non-input layers "
+                                f"are 1..{len(sizes) - 1}", lineno, col)
     units: list[Unit] = []
     for layer, size in enumerate(sizes):
         act = None if layer == 0 else activations.get(layer, Activation.HARD_SIGMOID)
@@ -319,13 +406,14 @@ def serialize_net(net: FeedForwardNet) -> str:
 
 
 def parse_stimuli(text: str) -> StimulusSet:
-    """Stimulus list: one ``stimulus <name> <component>+`` line each."""
+    """Stimulus list: one ``stimulus <name> <component>+`` line each.
+    A name must be one a .fint file can declare (``parser.check_name``)."""
     names: list[str] = []
     vectors: list[tuple[Fraction, ...]] = []
     for lineno, words, cols in _lines(text):
         if words[0] != "stimulus" or len(words) < 3:
             raise KBSyntaxError("stimulus <name> <component>+", lineno, 1)
-        names.append(words[1])
+        names.append(check_name(words[1], "stimulus name", lineno, cols[1]))
         vector = []
         for w, col in zip(words[2:], cols[2:]):
             try:

@@ -93,6 +93,25 @@ _HEADER_WORDS = {"logic", "concepts", "roles", "individuals", "distinguished",
 #: every concept well inside the interpreter's recursion limit.
 MAX_NESTING = 256
 
+#: Most units (all layers, the bias unit included) a .fnet file may
+#: declare.  A net's forward pass and its knowledge base grow with the
+#: unit count times the stimulus count, so the limit keeps a short file
+#: from asking for millions of units; it is checked before any unit is
+#: built.
+MAX_UNITS = 10_000
+
+
+def check_name(text: str, what: str, line: int, col: int) -> str:
+    """``text``, if a .fkb or .fint file can declare it: an identifier
+    that is not a reserved word; else a KBSyntaxError at ``line``,
+    ``col``."""
+    m = _TOKEN_RE.fullmatch(text)
+    if m is None or m.lastgroup != "ident":
+        raise KBSyntaxError(f"{what} {text!r} is not an identifier", line, col)
+    if text in RESERVED:
+        raise KBSyntaxError(f"reserved word {text!r} cannot be a {what}", line, col)
+    return text
+
 
 class _Token:
     __slots__ = ("kind", "text", "line", "col")

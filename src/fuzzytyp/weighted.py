@@ -152,7 +152,10 @@ def _scan_pairs(interp: FuzzyInterpretation, kb: WeightedKB, check_converse: boo
         degrees, weights, denominator = _scaled_table(interp, kb, name)
         if follows_preference(degrees, weights, check_converse):
             continue
-        # enumerate the violating ordered pairs only when there are some
+        # enumerate the violating ordered pairs only when there are some,
+        # with each element's degree and weight as Fractions built once
+        exact = [(Fraction(degree, d), _weight(w, denominator))
+                 for degree, w in zip(degrees, weights)]
         for i, x in enumerate(interp.domain):
             for j, y in enumerate(interp.domain):
                 preferred = degrees[i] > degrees[j]
@@ -164,8 +167,7 @@ def _scan_pairs(interp: FuzzyInterpretation, kb: WeightedKB, check_converse: boo
                 else:
                     continue
                 violations.append(PreferenceWeightViolation(
-                    kind, name, x, y, Fraction(degrees[i], d), Fraction(degrees[j], d),
-                    _weight(weights[i], denominator), _weight(weights[j], denominator)))
+                    kind, name, x, y, exact[i][0], exact[j][0], exact[i][1], exact[j][1]))
     return violations
 
 

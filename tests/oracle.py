@@ -13,6 +13,10 @@ pairs, over the degrees ``eval_concept`` reports, with the order
 properties (irreflexive, transitive, modular, well-founded) checked
 from their definitions; faithfulness and coherence are the O(n^2)
 pairwise definitions.
+
+A net's forward pass is run one stimulus at a time on Fractions, with
+the activations written from their definitions and every unit's
+incoming synapses found by a scan of all of them.
 """
 
 import itertools
@@ -20,6 +24,7 @@ from fractions import Fraction as F
 
 from fuzzytyp.algebra import LogicFamily
 from fuzzytyp.interpretation import FuzzyInterpretation, eval_concept
+from fuzzytyp.mlp import NetError
 from fuzzytyp.syntax import (
     And,
     Atomic,
@@ -223,3 +228,31 @@ def ref_scan(kb, goal, logic, sig, max_domain: int, q: int, mode: str, budget: i
             if not goal.cmp.apply(ref_axiom_degree(interp, goal), goal.threshold):
                 return interp, examined, models, False
     return None, examined, models, False
+
+
+#: activation name -> its definition on Fractions
+ACTIVATIONS = {
+    "hard-sigmoid": lambda x: min(ONE, max(ZERO, x / 6 + F(1, 2))),
+    "clipped-linear": lambda x: min(ONE, max(ZERO, x)),
+    "step": lambda x: ONE if x >= 0 else ZERO,
+}
+
+
+def ref_forward_pass(net, vector) -> dict:
+    """Exact activation of every unit on one input vector: input units,
+    the bias unit, then the others by layer."""
+    inputs = [u for u in net.units if u.layer == 0 and u.name != net.bias_unit]
+    if len(vector) != len(inputs):
+        raise NetError(f"stimulus has {len(vector)} components, "
+                       f"input layer has {len(inputs)}")
+    values = {u.name: v for u, v in zip(inputs, vector)}
+    if net.bias_unit is not None:
+        values[net.bias_unit] = ONE
+    for unit in sorted((u for u in net.units if u.layer > 0), key=lambda u: u.layer):
+        net_input = sum((s.weight * values[s.source]
+                         for s in net.synapses if s.target == unit.name), ZERO)
+        out = ACTIVATIONS[unit.activation.value](net_input)
+        if not ZERO <= out <= ONE:
+            raise NetError(f"activation of {unit.name!r} left [0, 1]: {out}")
+        values[unit.name] = out
+    return values

@@ -50,6 +50,19 @@ class TestCheckModel:
         assert "faithful: no" in out
         assert "Penguin" in out and "reddy" in out and "opus" in out
 
+    def test_each_format_has_each_violation_once(self, capsys, unfaithful_fint):
+        _, human = run(capsys, "check-model", PENGUIN_KB, unfaithful_fint)
+        _, records = run(capsys, "--format", "records", "check-model", PENGUIN_KB,
+                         unfaithful_fint)
+        assert [line for line in human.splitlines() if "violation" in line] == [
+            "  faithfulness violation for Penguin: (reddy, opus) degrees 9/10/4/5 "
+            "weights 30/120 (preferred without higher weight)",
+            "  coherence violation for Penguin: (opus, reddy) degrees 4/5/9/10 "
+            "weights 120/30 (higher weight without preference)"]
+        assert [line for line in records.splitlines() if "violation" in line] == [
+            "violation faithfulness Penguin reddy opus 9/10 4/5 30 120",
+            "violation coherence Penguin opus reddy 4/5 9/10 120 30"]
+
     def test_malformed_kb_is_a_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.fkb"
         bad.write_text("logic godel\nconcepts A\ntbox:\nA <= Ghost >= 1\n")
@@ -230,6 +243,26 @@ class TestMlp:
         stim.write_text("stimulus s0 1\n")
         code, _ = run(capsys, "mlp", str(net), str(stim))
         assert code == 2
+
+    def test_wrong_stimulus_width_is_an_input_error(self, capsys, tmp_path):
+        net = tmp_path / "net.fnet"
+        net.write_text(self.NET)
+        stim = tmp_path / "net.stim"
+        stim.write_text("stimulus s 0\n")
+        assert main(["mlp", str(net), str(stim)]) == 2
+        assert "error: stimulus has 1 components, input layer has 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stims, net_extra", [
+        ("stimulus s/1 0 1\n", ""), ("stimulus not 0 1\n", ""),
+        ("stimulus s0 0 1\n", "bias Top\n"), ("stimulus s0 0 1\n", "bias b/1\n")])
+    def test_names_the_outputs_could_not_read_back(self, capsys, tmp_path, stims, net_extra):
+        net = tmp_path / "net.fnet"
+        net.write_text(self.NET + net_extra)
+        stim = tmp_path / "net.stim"
+        stim.write_text(stims)
+        code, _ = run(capsys, "mlp", str(net), str(stim), "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_empty_stimuli_is_an_error(self, capsys, tmp_path):
         net = tmp_path / "net.fnet"
