@@ -19,7 +19,6 @@ from pathlib import Path
 
 from fuzzytyp.algebra import logic_from_name
 from fuzzytyp.engine import NoCountermodel, Refuted, SearchConfig, check_entailment_bounded
-from fuzzytyp.interpretation import is_model_strict
 from fuzzytyp.mlp import parse_net, parse_stimuli, verify_network_faithfulness
 from fuzzytyp.parser import (
     parse_axiom,
@@ -154,17 +153,16 @@ def cmd_check_model(args, out: _Printer) -> int:
     kb = _load_kb(args)
     interp = parse_interpretation(args.interpretation.read_text(), kb.logic, kb)
 
-    strict_ok, strict_violations = is_model_strict(interp, kb)
-    out.both(f"strict part: {'satisfied' if strict_ok else 'violated'}",
-             "strict", str(strict_ok).lower())
-    for v in strict_violations:
+    report = is_fm_model(interp, kb)
+    out.both(f"strict part: {'satisfied' if report.strict_ok else 'violated'}",
+             "strict", str(report.strict_ok).lower())
+    for v in report.strict_violations:
         out.both(f"  strict violation: {v}", "strict-violation", v.axiom, v.degree)
 
     out.human("weights:")
     for (name, elem), w in weight_table(interp, kb).items():
         out.both(f"  W[{name}]({elem}) = {w}", "weight", name, elem, w)
 
-    report = is_fm_model(interp, kb)
     out.both(f"faithful: {'yes' if report.faithful else 'no'}",
              "faithful", str(report.faithful).lower())
     _emit_violations(out, report.faithfulness_violations)

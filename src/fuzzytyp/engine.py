@@ -14,6 +14,10 @@ with the first declared concept's entries varying fastest.  Domain
 sizes are scanned in ascending order, so the first countermodel found
 has a minimal domain.  Identical configurations yield identical
 streams, verdicts, and statistics, whatever the worker count.
+
+Every scan asks one compiled ``Question`` (axioms that make a model,
+a goal) of each index, on grid digits that one odometer steps in
+place; postulate instances are asked the same way (``postulates``).
 """
 
 from __future__ import annotations
@@ -105,20 +109,31 @@ def _decode(sig: EnumSignature, n: int, q: int, index: int
     return atoms, roles, element
 
 
-def _advance(rows: list[list[int]], element: dict[str, int], n: int, q: int) -> None:
-    """Step decoded digits in place to the next index: the concept rows,
-    then the role rows, then the individuals, first digit fastest."""
-    for row in rows:
-        for i, digit in enumerate(row):
-            if digit < q:
-                row[i] = digit + 1
-                return
+def _odometer(sig: EnumSignature, n: int, q: int, start: int, stop: int
+              ) -> Iterator[tuple[list[list[int]], list[list[list[int]]], dict[str, int]]]:
+    """The digits of indices start..stop-1 of the size-n block, laid out
+    as ``_decode`` returns them: the first index decoded, each next one
+    a step of the same lists in place (first digit fastest), so copy
+    whatever must outlive the next step."""
+    if start >= stop:
+        return
+    digits = atoms, roles, element = _decode(sig, n, q, start)
+    cells = [(row, i) for row in atoms + [row for block in roles for row in block]
+             for i in range(n)]
+    yield digits
+    for _ in range(start + 1, stop):
+        for row, i in cells:
+            if row[i] < q:
+                row[i] += 1
+                break
             row[i] = 0
-    for ind, digit in element.items():
-        if digit < n - 1:
-            element[ind] = digit + 1
-            return
-        element[ind] = 0
+        else:
+            for ind, e in element.items():
+                if e < n - 1:
+                    element[ind] = e + 1
+                    break
+                element[ind] = 0
+        yield digits
 
 
 def interpretation_at(sig: EnumSignature, logic: LogicFamily, domain_size: int,
@@ -150,30 +165,14 @@ def interpretation_of_digits(sig: EnumSignature, logic: LogicFamily, n: int, q: 
         individuals={ind: dom[i] for ind, i in element.items()})
 
 
-def enumerate_digits(sig: EnumSignature, max_domain_size: int, denominator: int
-                     ) -> Iterator[tuple[int, list[list[int]], list[list[list[int]]],
-                                         dict[str, int]]]:
-    """(n, digits) of every interpretation in stream order, sizes
-    ascending, the digits laid out as ``_decode`` returns them.  Each
-    size block decodes index 0 once and steps those lists in place, so
-    copy whatever must outlive the next step."""
-    q = denominator
-    for n in range(1, max_domain_size + 1):
-        atoms, roles, element = _decode(sig, n, q, 0)
-        rows = atoms + [row for block in roles for row in block]
-        for k in range(count_interpretations(sig, n, q)):
-            if k:
-                _advance(rows, element, n, q)
-            yield n, atoms, roles, element
-
-
 def enumerate_interpretations(sig: EnumSignature, config: SearchConfig
                               ) -> Iterator[FuzzyInterpretation]:
     """All interpretations with domain size <= the bound and atomic
     valuations on the grid {0, 1/q, ..., 1}; sizes ascending."""
     q = config.denominator
-    for n, atoms, roles, element in enumerate_digits(sig, config.max_domain_size, q):
-        yield interpretation_of_digits(sig, config.logic, n, q, atoms, roles, element)
+    for n in range(1, config.max_domain_size + 1):
+        for atoms, roles, element in _odometer(sig, n, q, 0, count_interpretations(sig, n, q)):
+            yield interpretation_of_digits(sig, config.logic, n, q, atoms, roles, element)
 
 
 def random_digits(rng: random.Random, sig: EnumSignature, domain_size: int, denominator: int
@@ -236,120 +235,138 @@ POOL_MIN_SPAN = 4096
 
 def threshold_numerator(threshold: Fraction, q: int) -> int | Fraction:
     """``threshold`` as a numerator over q: an int when q * threshold is
-    whole, else the exact Fraction (which compares exactly with ints)."""
-    t = threshold * q
-    return t.numerator if t.denominator == 1 else t
+    whole, else the equal Fraction (which compares exactly with ints)."""
+    p, d = threshold.as_integer_ratio()
+    t = p * q
+    return Fraction(t, d) if t % d else t // d
 
 
-# The question scanned is a (kb, goal, mode) tuple, which pickles, so
-# worker processes can evaluate it.  Validity is entailment from the
-# empty KB.
-
-def _compile_axioms(program: Program, axioms, q: int) -> list[tuple]:
-    """Per axiom: (its code, the node count its evaluation needs, its
-    comparison, its threshold as a numerator over q)."""
-    return [(program.add_axiom(ax), len(program.nodes), ax.cmp.op,
-             threshold_numerator(ax.threshold, q)) for ax in axioms]
+#: Outcomes of ``Question.test`` on one interpretation; only a model's
+#: (HOLDS or COUNTER) is true.
+NOT_A_MODEL, HOLDS, COUNTER = range(3)
 
 
-def _scan_chunk(args) -> tuple[int | None, int, int]:
-    """Scan indices [start, stop) of one size block; returns
-    (local index of first countermodel or None, indices examined,
-    models seen up to and including that index).
+def _check(program: Program, axiom: FuzzyAxiom, q: int) -> tuple:
+    """An axiom compiled into ``program`` as a check: (its code, the node
+    count its evaluation needs, its comparison, its threshold as a
+    numerator over q)."""
+    return (program.add_axiom(axiom), len(program.nodes), axiom.cmp.op,
+            threshold_numerator(axiom.threshold, q))
 
-    The KB and the goal are compiled once.  The first index is decoded
-    into grid numerators over q, and each next one is a step of those
-    digits; each is checked on them: the strict part, then, in fm mode,
-    faithfulness, then the goal."""
-    sig, logic, n, q, start, stop, (kb, goal, mode) = args
-    program = Program(sig.concepts, sig.roles)
-    strict = _compile_axioms(program, kb.all_axioms(), q)
-    tables: list[tuple] = []
-    if mode == "fm":
-        for name in kb.distinguished:
+
+class Question:
+    """One entailment question over a signature and the grid 1/q,
+    compiled once into one program: the axioms that make a model (a
+    KB's strict part, or a postulate instance's premises), the KB's
+    weighted tables when ``kb`` is given (fm mode), and the goal (or the
+    instance's conclusion).  Validity is entailment from no axioms.  A
+    question keeps its signature and pickles, so worker processes can
+    scan it."""
+
+    def __init__(self, sig: EnumSignature, logic: LogicFamily, q: int, axioms,
+                 goal: FuzzyAxiom, kb: WeightedKB | None = None):
+        program = Program(sig.concepts, sig.roles)
+        self.sig = sig
+        self.q = q
+        self.ops = CONNECTIVES[logic]
+        self.checks = [_check(program, ax, q) for ax in axioms]
+        self.tables: list[tuple] = []  # (slot, node count, terms) per weighted table
+        for name in kb.distinguished if kb is not None else ():
             if kb.weighted_inclusions(name):
                 _, terms = compile_table(program, kb, name)
-                tables.append((program.concept_slots[name], len(program.nodes), terms))
-    [(goal_code, goal_end, goal_holds, goal_t)] = _compile_axioms(program, [goal], q)
-    nodes = program.nodes
-    ops = CONNECTIVES[logic]
+                self.tables.append((program.concept_slots[name], len(program.nodes), terms))
+        self.goal = _check(program, goal, q)
+        self.nodes = program.nodes
 
-    atoms, roles, element = _decode(sig, n, q, start)
-    rows = atoms + [row for block in roles for row in block]
-    models = 0
-    for k in range(start, stop):
-        if k > start:
-            _advance(rows, element, n, q)
+    def test(self, n: int, atoms: list[list[int]], roles: list[list[list[int]]],
+             element: dict[str, int]) -> int:
+        """The question on the grid digits of one interpretation:
+        NOT_A_MODEL if an axiom fails or a preference is not faithful to
+        its table, else HOLDS or COUNTER as the goal does.  Nodes are
+        evaluated only as far as the checks reached need them."""
+        nodes, ops, q = self.nodes, self.ops, self.q
         vals: list[list] = []
-        for code, end, holds, t in strict:
+        for code, end, holds, t in self.checks:
             run(nodes, end, vals, ops, q, n, atoms, roles)
             if not holds(axiom_value(code, vals, ops, q, roles, element), t):
-                break
-        else:
-            for slot, end, terms in tables:
-                run(nodes, end, vals, ops, q, n, atoms, roles)
-                degrees = atoms[slot]
-                if not follows_preference(degrees, scaled_weights(degrees, vals, terms)):
-                    break
-            else:  # a model, an fm-model in fm mode
-                models += 1
-                run(nodes, goal_end, vals, ops, q, n, atoms, roles)
-                if not goal_holds(axiom_value(goal_code, vals, ops, q, roles, element), goal_t):
-                    return k, k - start + 1, models
+                return NOT_A_MODEL
+        for slot, end, terms in self.tables:
+            run(nodes, end, vals, ops, q, n, atoms, roles)
+            degrees = atoms[slot]
+            if not follows_preference(degrees, scaled_weights(degrees, vals, terms)):
+                return NOT_A_MODEL
+        code, end, holds, t = self.goal
+        run(nodes, end, vals, ops, q, n, atoms, roles)
+        return HOLDS if holds(axiom_value(code, vals, ops, q, roles, element), t) else COUNTER
+
+
+def scan_block(question: Question, n: int, start: int, stop: int
+               ) -> tuple[int | None, int, int]:
+    """Test indices [start, stop) of the size-n block in order; returns
+    (index of the first countermodel or None, indices examined, models
+    seen up to and including that index)."""
+    test = question.test
+    models = 0
+    digits = _odometer(question.sig, n, question.q, start, stop)
+    for k, (atoms, roles, element) in enumerate(digits, start):
+        outcome = test(n, atoms, roles, element)
+        if outcome:
+            models += 1
+            if outcome == COUNTER:
+                return k, k - start + 1, models
     return None, stop - start, models
 
 
-def _scan(sig: EnumSignature, config: SearchConfig, question: tuple) -> EntailmentVerdict:
-    examined = 0
-    models = 0
+def scan(question: Question, max_domain_size: int, budget: int, jobs: int = 1
+         ) -> tuple[tuple[int, int] | None, int, int, bool]:
+    """Scan the size blocks 1..max_domain_size in order, each cut to the
+    budget left; returns ((n, index) of the first countermodel or None,
+    examined, models, whether the budget left an index unexamined).
+    With ``jobs`` > 1 a block of POOL_MIN_SPAN or more indices is split
+    into chunks for worker processes, aggregated in chunk order, so the
+    result is the sequential one."""
+    examined = models = 0
     truncated = False
-    remaining = config.budget
-
-    for n in range(1, config.max_domain_size + 1):
-        total = count_interpretations(sig, n, config.denominator)
+    for n in range(1, max_domain_size + 1):
+        remaining = budget - examined
         if remaining <= 0:
-            truncated = True
-            break
+            return None, examined, models, True
+        total = count_interpretations(question.sig, n, question.q)
         span = min(total, remaining)
-        if span < total:
-            truncated = True
-        found: int | None = None
-
-        if config.jobs == 1 or span < POOL_MIN_SPAN:
-            found, seen, m = _scan_chunk((sig, config.logic, n, config.denominator,
-                                          0, span, question))
+        truncated = span < total
+        if jobs == 1 or span < POOL_MIN_SPAN:
+            found, seen, m = scan_block(question, n, 0, span)
             examined += seen
             models += m
         else:
-            chunk = max(2048, span // (config.jobs * 8))
-            starts = list(range(0, span, chunk))
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                futures = [pool.submit(_scan_chunk,
-                                       (sig, config.logic, n, config.denominator,
-                                        s, min(s + chunk, span), question))
-                           for s in starts]
-                # chunk-ordered aggregation keeps the verdict identical to
-                # the sequential scan: the first countermodel by index wins
+            found = None
+            chunk = max(2048, span // (jobs * 8))
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                futures = [pool.submit(scan_block, question, n, s, min(s + chunk, span))
+                           for s in range(0, span, chunk)]
+                # the first countermodel by index wins
                 for fut in futures:
-                    local, seen, m = fut.result()
+                    found, seen, m = fut.result()
                     examined += seen
                     models += m
-                    if local is not None:
-                        found = local  # _scan_chunk reports absolute indices
+                    if found is not None:
                         for later in futures:
                             later.cancel()
                         break
-
-        remaining -= span if found is None else found + 1
         if found is not None:
-            stats = SearchStats(examined, models, truncated,
-                                config.max_domain_size, config.denominator)
-            counter = interpretation_at(sig, config.logic, n, config.denominator, found)
-            return Refuted(counter, stats)
+            return (n, found), examined, models, truncated
+    return None, examined, models, truncated
 
-    stats = SearchStats(examined, models, truncated,
-                        config.max_domain_size, config.denominator)
-    return NoCountermodel(stats)
+
+def _scan(config: SearchConfig, question: Question) -> EntailmentVerdict:
+    found, examined, models, truncated = scan(question, config.max_domain_size,
+                                              config.budget, config.jobs)
+    stats = SearchStats(examined, models, truncated, config.max_domain_size, config.denominator)
+    if found is None:
+        return NoCountermodel(stats)
+    n, index = found
+    return Refuted(interpretation_at(question.sig, config.logic, n, config.denominator, index),
+                   stats)
 
 
 # --------------------------------------------------------------------------
@@ -411,12 +428,12 @@ def check_entailment_bounded(kb: WeightedKB, goal: FuzzyAxiom,
                              config: SearchConfig) -> EntailmentVerdict:
     """Search for a model of the KB (its strict part in plain mode, an
     fm-model in fm mode) falsifying the goal axiom."""
-    sig = signature_for(kb, goal)
-    return _scan(sig, config, (kb, goal, config.mode))
+    return _scan(config, Question(signature_for(kb, goal), config.logic, config.denominator,
+                                  kb.all_axioms(), goal, kb if config.mode == "fm" else None))
 
 
 def check_validity_bounded(goal: FuzzyAxiom, config: SearchConfig) -> EntailmentVerdict:
     """Search for any interpretation at all falsifying the axiom: an
     entailment scan from the empty KB over the axiom's own names."""
-    empty = WeightedKB(logic=config.logic, concepts=())
-    return _scan(signature_of_axiom(goal), config, (empty, goal, config.mode))
+    return _scan(config, Question(signature_of_axiom(goal), config.logic, config.denominator,
+                                  (), goal))

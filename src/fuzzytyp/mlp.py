@@ -48,6 +48,7 @@ from fuzzytyp.syntax import (
     KBSyntaxError,
     WeightedKB,
     WeightedTypicalityInclusion,
+    parse_integer,
     parse_number,
 )
 from fuzzytyp.weighted import NEG_INF, ExtendedWeight, FmModelReport, is_fm_model
@@ -330,18 +331,15 @@ def parse_net(text: str) -> FeedForwardNet:
         if key == "layers":
             if sizes is not None:
                 raise KBSyntaxError("duplicate layers line", lineno, 1)
-            try:
-                sizes = [int(w) for w in words[1:]]
-            except ValueError:
-                raise KBSyntaxError("layer sizes must be integers", lineno, 1) from None
+            sizes = [parse_integer(w, lineno, col) for w, col in zip(words[1:], cols[1:])]
             if len(sizes) < 2 or any(s < 1 for s in sizes):
                 raise KBSyntaxError("need at least two positive layer sizes", lineno, 1)
             layers_line = lineno
         elif key == "activation":
             if len(words) != 3:
                 raise KBSyntaxError("activation <layer> <name>", lineno, 1)
+            layer = parse_integer(words[1], lineno, cols[1])
             try:
-                layer = int(words[1])
                 act = Activation(words[2])
             except ValueError:
                 raise KBSyntaxError(f"bad activation line {words!r}", lineno, 1) from None

@@ -58,6 +58,7 @@ from fuzzytyp.syntax import (
     KBSyntaxError,
     NestedTypicalityError,
     Not,
+    NUMBER,
     Or,
     RoleAssertion,
     TOP,
@@ -71,8 +72,8 @@ from fuzzytyp.syntax import (
 )
 
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<num>[+-]?\d+(?:\.\d+)?(?:/\d+)?)
+    rf"""
+      (?P<num>{NUMBER})
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<sym><=|>=|<|>|\(|\)|,|@|:)
     """,

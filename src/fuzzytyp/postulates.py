@@ -19,24 +19,28 @@ explicit bounded check.  Uncertified premises never pass silently.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator
 
-from fuzzytyp.algebra import CONNECTIVES, Connectives, LogicFamily, ONE
+from fuzzytyp.algebra import LogicFamily
 from fuzzytyp.engine import (
+    COUNTER,
+    NOT_A_MODEL,
     EnumSignature,
     NoCountermodel,
+    Question,
     SearchConfig,
     check_validity_bounded,
-    enumerate_digits,
+    interpretation_at,
     interpretation_of_digits,
     random_digits,
-    threshold_numerator,
+    scan,
 )
-from fuzzytyp.interpretation import FuzzyInterpretation, Program, axiom_degree, axiom_value, run
+from fuzzytyp.interpretation import AND, ATOM, OR, FuzzyInterpretation, axiom_degree, run
 from fuzzytyp.syntax import (
     And,
     Atomic,
@@ -440,85 +444,38 @@ def _sample_digits(rng: random.Random, sig: EnumSignature, n: int, q: int
     return atoms, roles
 
 
-@dataclass(frozen=True)
-class _Limits:
-    """A schema's comparisons with their thresholds as numerators over
-    q, one per premise and then the conclusion's, and per premise
-    whether it is strong (>= 1).  Read off one probe instance: a
-    schema's comparisons and thresholds do not depend on the concepts
-    substituted."""
+def _force(rng: random.Random, question: Question, n: int, atoms: list[list[int]],
+           roles: list[list[list[int]]]) -> None:
+    """Rewrite atom digits in place so that the premises of an instance
+    have a chance to be satisfied non-vacuously: for each premise
+    T(X) <= Cons theta t, push the consequent up on the typical X
+    elements (to q for a strong premise, >= with threshold numerator q;
+    to a random positive digit otherwise).  The typical elements are
+    those where T(X) is nonzero on the digits as given, in element
+    order.  Best effort only; the question's test evaluates the
+    premises afterwards."""
+    # a premise's code is (INCLUSION, its T(X) node, its consequent node)
+    nodes, q = question.nodes, question.q
+    vals: list[list] = []
+    run(nodes, max(code[1] for code, *_ in question.checks) + 1, vals, question.ops, q, n,
+        atoms, roles)
+    typicals = [[i for i, v in enumerate(vals[code[1]]) if v] for code, *_ in question.checks]
 
-    checks: tuple[tuple[Callable, int | Fraction], ...]
-    strong: tuple[bool, ...]
+    def push(node: int, i: int, digit: int) -> None:
+        op, a, b = nodes[node]
+        if op == ATOM:
+            atoms[a][i] = digit
+        elif op == AND:
+            push(a, i, digit)
+            push(b, i, digit)
+        elif op == OR:
+            push(a, i, digit)
+        # anything else: leave to chance
 
-    @classmethod
-    def of(cls, schema: PostulateSchema, q: int) -> _Limits:
-        probe = {var: TOP for var in schema.metavars}
-        premises = schema.premises(probe)
-        return cls(tuple((ax.cmp.op, threshold_numerator(ax.threshold, q))
-                         for ax in (*premises, schema.conclusion(probe))),
-                   tuple(p.cmp is Cmp.GE and p.threshold == ONE for p in premises))
-
-
-class _Instance:
-    """A postulate instance, built once and compiled into one program
-    over the search signature: the premises' typicality concepts
-    first, then the premises, then the conclusion.  It is checked and
-    forced on grid digits (numerators over q, laid out as the engine
-    decodes them); no interpretation is built."""
-
-    def __init__(self, schema: PostulateSchema, subst: dict[str, Concept],
-                 sig: EnumSignature):
-        self.subst = subst
-        self.premises = schema.premises(subst)
-        program = Program(sig.concepts, sig.roles)
-        self.typs = [program.add(p.lhs) for p in self.premises]
-        self.typ_end = len(program.nodes)
-        self.codes = [(program.add_axiom(ax), len(program.nodes))
-                      for ax in (*self.premises, schema.conclusion(subst))]
-        self.nodes = program.nodes
-        self.slots = program.concept_slots
-
-    def check(self, limits: _Limits, ops: Connectives, q: int, n: int,
-              atoms: list[list[int]], roles: list[list[list[int]]]) -> tuple[bool, bool]:
-        """(engaged, holds): whether every premise is satisfied, and
-        whether the instance holds (vacuously when not engaged).  The
-        conclusion is evaluated only when the premises are."""
-        vals: list[list] = []
-        for i, ((code, end), (holds, t)) in enumerate(zip(self.codes, limits.checks)):
-            run(self.nodes, end, vals, ops, q, n, atoms, roles)
-            if not holds(axiom_value(code, vals, ops, q, roles, {}), t):
-                engaged = i == len(self.premises)
-                return engaged, not engaged
-        return True, True
-
-    def force(self, rng: random.Random, limits: _Limits, ops: Connectives, q: int, n: int,
-              atoms: list[list[int]], roles: list[list[list[int]]]) -> None:
-        """Rewrite atom digits in place so that the premises have a chance
-        to be satisfied non-vacuously: for each premise T(X) <= Cons
-        theta n, push the consequent up on the typical X elements (to q
-        for >= 1 premises, to a random positive digit otherwise).  The
-        typical elements are those where T(X) is nonzero on the digits
-        as given, in element order.  Best effort only; ``check``
-        evaluates the premises afterwards."""
-        vals: list[list] = []
-        run(self.nodes, self.typ_end, vals, ops, q, n, atoms, roles)
-        typicals = [[i for i, v in enumerate(vals[node]) if v] for node in self.typs]
-
-        def push(concept: Concept, i: int, digit: int) -> None:
-            kind = type(concept)
-            if kind is Atomic:
-                atoms[self.slots[concept.name]][i] = digit
-            elif kind is And:
-                push(concept.left, i, digit)
-                push(concept.right, i, digit)
-            elif kind is Or:
-                push(concept.left, i, digit)
-            # anything else: leave to chance
-
-        for premise, elems, strong in zip(self.premises, typicals, limits.strong):
-            for i in elems:
-                push(premise.rhs, i, q if strong else rng.randint(1, q))
+    for (code, _, holds, t), elems in zip(question.checks, typicals):
+        strong = holds is operator.ge and t == q
+        for i in elems:
+            push(code[2], i, q if strong else rng.randint(1, q))
 
 
 def _certified(schema: PostulateSchema, oracle: Callable[[str, Concept, Concept], bool],
@@ -530,20 +487,20 @@ def _certified(schema: PostulateSchema, oracle: Callable[[str, Concept, Concept]
 
 
 def _random_trials(rng: random.Random, schema: PostulateSchema, shape: ShapeBound,
-                   logic: LogicFamily, sig: EnumSignature, limits: _Limits,
-                   max_domain_size: int, q: int, trials: int
-                   ) -> Iterator[tuple[int, list[list[int]], list[list[list[int]]], _Instance]]:
-    """(n, atoms, roles, instance) of each seeded trial: digits and an
-    instantiation drawn, and on every second trial the digits forced
-    toward engaging the premises."""
-    ops = CONNECTIVES[logic]
+                   logic: LogicFamily, sig: EnumSignature, max_domain_size: int, q: int,
+                   trials: int) -> Iterator[tuple[int, list[list[int]], list[list[list[int]]],
+                                                  dict[str, Concept], Question]]:
+    """(n, atoms, roles, substitution, question) of each seeded trial:
+    digits and an instantiation drawn, and on every second trial the
+    digits forced toward engaging the premises."""
     for trial in range(trials):
         n = rng.randint(1, max_domain_size)
         atoms, roles = _sample_digits(rng, sig, n, q)
-        inst = _Instance(schema, _random_substitution(rng, schema, shape, logic), sig)
-        if trial % 2 == 1 and inst.premises:
-            inst.force(rng, limits, ops, q, n, atoms, roles)
-        yield n, atoms, roles, inst
+        subst = _random_substitution(rng, schema, shape, logic)
+        question = Question(sig, logic, q, schema.premises(subst), schema.conclusion(subst))
+        if trial % 2 == 1 and question.checks:
+            _force(rng, question, n, atoms, roles)
+        yield n, atoms, roles, subst, question
 
 
 class InternalCheckError(RuntimeError):
@@ -551,17 +508,15 @@ class InternalCheckError(RuntimeError):
     witness interpretation disagree: a defect, never a verdict."""
 
 
-def _witness(schema: PostulateSchema, oracle, logic: LogicFamily, sig: EnumSignature,
-             n: int, q: int, atoms: list[list[int]], roles: list[list[list[int]]],
-             inst: _Instance, stats: KlmStats) -> Violated:
-    """The violating trial as an interpretation, re-checked through
+def _witness(schema: PostulateSchema, oracle, interp: FuzzyInterpretation,
+             subst: dict[str, Concept], stats: KlmStats) -> Violated:
+    """A violating trial's interpretation, re-checked through
     ``check_instance``."""
-    interp = interpretation_of_digits(sig, logic, n, q, atoms, roles, {})
-    check = check_instance(interp, schema, oracle, **inst.subst)
+    check = check_instance(interp, schema, oracle, **subst)
     if check.holds:
         raise InternalCheckError(
             f"{schema.name}: the trial check found a violation that check_instance "
-            f"does not confirm for {inst.subst!r}")
+            f"does not confirm for {subst!r}")
     return Violated(interp, check, stats)
 
 
@@ -577,11 +532,13 @@ def search_counterexample(postulate: str | PostulateSchema, logic: LogicFamily,
     interpretation and an instantiation, alternating raw draws with
     premise-forcing draws so that a healthy share of instances engages
     the premises.  Exhaustive mode enumerates instantiations small-first
-    and scans the full bounded interpretation space for each, examining
-    at most ``trials`` interpretations in all; it does not use the seed.
+    and scans the bounded interpretation space for each with the
+    engine's block scanner, examining at most ``trials`` interpretations
+    in all and reporting the number examined; it does not use the seed.
 
-    Every trial is checked on grid digits; an interpretation is built
-    only for a violating trial, whose ``InstanceCheck`` comes from
+    Each instance is an entailment question (premises, conclusion),
+    tested on grid digits; an interpretation is built only for a
+    violating trial, whose ``InstanceCheck`` comes from
     ``check_instance`` (a disagreement raises ``InternalCheckError``).
     """
     if max_domain_size < 1:
@@ -596,8 +553,6 @@ def search_counterexample(postulate: str | PostulateSchema, logic: LogicFamily,
     oracle = catalog_oracle(logic)
     sig = EnumSignature(concepts=shape.atoms, roles=shape.roles)
     q = denominator
-    ops = CONNECTIVES[logic]
-    limits = _Limits.of(schema, q)
     engaged = vacuous = uncertified = 0
 
     if exhaustive:
@@ -608,29 +563,33 @@ def search_counterexample(postulate: str | PostulateSchema, logic: LogicFamily,
             if not _certified(schema, oracle, subst):
                 uncertified += 1
                 continue
-            inst = _Instance(schema, subst, sig)
-            for n, atoms, roles, _ in enumerate_digits(sig, max_domain_size, q):
-                spent += 1
-                if spent > trials:
-                    return HoldsWithinBounds(KlmStats(spent, engaged, vacuous, uncertified, True))
-                hit, holds = inst.check(limits, ops, q, n, atoms, roles)
-                engaged += hit
-                vacuous += not hit
-                if not holds:
-                    stats = KlmStats(spent, engaged, vacuous, uncertified, False)
-                    return _witness(schema, oracle, logic, sig, n, q, atoms, roles, inst, stats)
+            question = Question(sig, logic, q, schema.premises(subst), schema.conclusion(subst))
+            found, seen, models, truncated = scan(question, max_domain_size, trials - spent)
+            spent += seen
+            engaged += models
+            vacuous += seen - models
+            if found is not None:
+                n, index = found
+                stats = KlmStats(spent, engaged, vacuous, uncertified, False)
+                return _witness(schema, oracle, interpretation_at(sig, logic, n, q, index),
+                                subst, stats)
+            if truncated:
+                return HoldsWithinBounds(KlmStats(spent, engaged, vacuous, uncertified, True))
         return HoldsWithinBounds(KlmStats(spent, engaged, vacuous, uncertified, False))
 
     rng = random.Random(seed)
-    for trial, (n, atoms, roles, inst) in enumerate(_random_trials(
-            rng, schema, shape, logic, sig, limits, max_domain_size, q, trials)):
-        if not _certified(schema, oracle, inst.subst):
+    for trial, (n, atoms, roles, subst, question) in enumerate(_random_trials(
+            rng, schema, shape, logic, sig, max_domain_size, q, trials)):
+        if not _certified(schema, oracle, subst):
             uncertified += 1
             continue
-        hit, holds = inst.check(limits, ops, q, n, atoms, roles)
-        engaged += hit
-        vacuous += not hit
-        if not holds:
+        outcome = question.test(n, atoms, roles, {})
+        if outcome == NOT_A_MODEL:
+            vacuous += 1
+            continue
+        engaged += 1
+        if outcome == COUNTER:
             stats = KlmStats(trial + 1, engaged, vacuous, uncertified, False)
-            return _witness(schema, oracle, logic, sig, n, q, atoms, roles, inst, stats)
+            interp = interpretation_of_digits(sig, logic, n, q, atoms, roles, {})
+            return _witness(schema, oracle, interp, subst, stats)
     return HoldsWithinBounds(KlmStats(trials, engaged, vacuous, uncertified, False))

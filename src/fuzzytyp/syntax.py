@@ -9,6 +9,7 @@ left-hand side and forbidden in the consequent.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -182,31 +183,25 @@ def concept_to_text(concept: Concept) -> str:
 # --------------------------------------------------------------------------
 
 class Cmp(Enum):
-    """Comparator attached to a fuzzy axiom's threshold."""
+    """Comparator attached to a fuzzy axiom's threshold; ``op`` is the
+    comparison as a plain function of (degree, threshold)."""
 
-    GE = ">="
-    LE = "<="
-    GT = ">"
-    LT = "<"
+    GE = (">=", operator.ge)
+    LE = ("<=", operator.le)
+    GT = (">", operator.gt)
+    LT = ("<", operator.lt)
+
+    def __new__(cls, symbol: str, op: Callable[[object, object], bool]) -> Cmp:
+        member = object.__new__(cls)
+        member._value_ = symbol
+        member.op = op
+        return member
 
     def apply(self, degree: Degree, threshold: Degree) -> bool:
-        return _CMP_FUNCS[self](degree, threshold)
-
-    @property
-    def op(self) -> Callable[[object, object], bool]:
-        """The comparison as a plain function of (degree, threshold)."""
-        return _CMP_FUNCS[self]
+        return self.op(degree, threshold)
 
     def __str__(self) -> str:
         return self.value
-
-
-_CMP_FUNCS = {
-    Cmp.GE: operator.ge,
-    Cmp.LE: operator.le,
-    Cmp.GT: operator.gt,
-    Cmp.LT: operator.lt,
-}
 
 
 def _check_threshold(n: Fraction) -> Fraction:
@@ -389,14 +384,45 @@ def validate_kb(kb: WeightedKB) -> list[Violation]:
     return out
 
 
+#: An integer literal: an optional sign and ASCII digits.
+INTEGER = r"[+-]?[0-9]+"
+
+#: The number literal of every input format (.fkb, .fint, .fnet and
+#: stimulus files): an integer literal with an optional decimal part
+#: and an optional denominator, captured as three groups.  The
+#: .fkb/.fint lexer is built from it, and ``parse_number`` reads
+#: nothing else.
+NUMBER = rf"({INTEGER})(?:\.([0-9]+))?(?:/([0-9]+))?"
+
+_INTEGER_RE = re.compile(INTEGER)
+_NUMBER_RE = re.compile(NUMBER)
+
+
 def parse_number(text: str, line: int | None = None, col: int | None = None) -> Fraction:
-    """Exact value of a signed decimal or p/q literal (every number of
-    every input format is read here).  A malformed literal or a zero
-    denominator is a KBSyntaxError at ``line``, ``col``."""
-    try:
-        return Fraction(text.lstrip("+"))
-    except (ValueError, ZeroDivisionError):
-        raise KBSyntaxError(f"bad number {text!r}", line, col) from None
+    """Exact value of a ``NUMBER`` literal (every number of every input
+    format is read here), built from its groups.  Anything else, a
+    decimal with a denominator, a zero denominator, or more digits than
+    the interpreter converts is a KBSyntaxError at ``line``, ``col``."""
+    m = _NUMBER_RE.fullmatch(text)
+    if m is not None:
+        whole, decimals, denominator = m.groups()
+        try:
+            if denominator is None:
+                return Fraction(int(whole + (decimals or "")), 10 ** len(decimals or ""))
+            if decimals is None:
+                return Fraction(int(whole), int(denominator))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise KBSyntaxError(f"bad number {text!r}", line, col)
+
+
+def parse_integer(text: str, line: int | None = None, col: int | None = None) -> int:
+    """Value of an ``INTEGER`` literal (a .fnet layer size or layer
+    index; the caller checks its range); anything else is a
+    KBSyntaxError at ``line``, ``col``."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise KBSyntaxError(f"bad integer {text!r}", line, col)
+    return int(parse_number(text, line, col))
 
 
 def parse_degree(text: str, line: int | None = None, col: int | None = None) -> Degree:

@@ -4,6 +4,7 @@ round trip of emitted countermodels back through check-model."""
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -68,6 +69,22 @@ class TestCheckModel:
         bad.write_text("logic godel\nconcepts A\ntbox:\nA <= Ghost >= 1\n")
         code, _ = run(capsys, "check-model", str(bad), PENGUIN_INT)
         assert code == 2
+
+    def test_runs_the_strict_part_once(self, capsys, monkeypatch):
+        import fuzzytyp.interpretation as interpretation
+        original = interpretation.is_model_strict
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fuzzytyp") and getattr(module, "is_model_strict", 0) is original:
+                monkeypatch.setattr(module, "is_model_strict", counted)
+        code, _ = run(capsys, "check-model", PENGUIN_KB, PENGUIN_INT)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_records_format(self, capsys):
         code, out = run(capsys, "--format", "records",
@@ -271,6 +288,41 @@ class TestMlp:
         stim.write_text("")
         code, _ = run(capsys, "mlp", str(net), str(stim))
         assert code == 2
+
+
+class TestNumberGrammar:
+    """Every number of every input format is a ``syntax.NUMBER``
+    literal, and .fnet layer sizes and indices are its ``INTEGER``
+    part: anything else is an input error, found before any
+    arithmetic."""
+
+    NET = "layers 1 1\nactivation 1 step\nsynapse u0_0 u1_0 1\n"
+    LINES = {
+        "stimulus": (NET, "stimulus s {}\n"),
+        "weight": ("layers 1 1\nsynapse u0_0 u1_0 {}\n", "stimulus s 1\n"),
+        "layers": ("layers {} 1\n", "stimulus s 1\n"),
+        "activation": ("layers 1 1\nactivation {} step\n", "stimulus s 1\n"),
+    }
+
+    @pytest.mark.parametrize("where, word", [
+        *(("stimulus", w) for w in ("1e5", ".5", "1_0/2_0", "0e10000000", "\u0663")),
+        *(("weight", w) for w in ("1e5", ".5")),
+        *(("layers", w) for w in ("1_0", "\u0663", "1/1")),
+        *(("activation", w) for w in ("1_0", "1.0")),
+    ])
+    def test_mlp_exits_2_at_once_and_writes_nothing(self, capsys, tmp_path, where, word):
+        net, stim = (text.format(word) for text in self.LINES[where])
+        (tmp_path / "net.fnet").write_text(net, encoding="utf-8")
+        (tmp_path / "net.stim").write_text(stim, encoding="utf-8")
+        t0 = time.perf_counter()
+        code = main(["mlp", str(tmp_path / "net.fnet"), str(tmp_path / "net.stim"),
+                     "--out-dir", str(tmp_path / "out")])
+        elapsed = time.perf_counter() - t0
+        err = capsys.readouterr().err
+        assert code == 2
+        assert repr(word) in err and "line" in err and "col" in err
+        assert not (tmp_path / "out").exists()
+        assert elapsed < 0.5
 
 
 class TestParse:

@@ -7,11 +7,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzytyp.algebra import LogicFamily
 from fuzzytyp.engine import (
     EnumSignature,
     NoCountermodel,
+    Question,
     Refuted,
     SearchConfig,
     check_entailment_bounded,
@@ -19,8 +21,10 @@ from fuzzytyp.engine import (
     count_interpretations,
     enumerate_interpretations,
     interpretation_at,
+    scan_block,
     signature_for,
     signature_of_axiom,
+    threshold_numerator,
 )
 from fuzzytyp.interpretation import is_model_strict, satisfies
 from fuzzytyp.parser import parse_axiom, parse_kb, serialize_interpretation
@@ -42,7 +46,7 @@ from fuzzytyp.syntax import (
     WeightedTypicalityInclusion,
 )
 from fuzzytyp.weighted import is_fm_model
-from oracle import ref_scan
+from oracle import ref_axiom_degree, ref_interpretations, ref_is_model, ref_scan
 
 DATA = Path(__file__).parent / "data"
 GODEL = LogicFamily.GODEL
@@ -294,6 +298,45 @@ class TestWorkerPool:
         assert seq.stats == par.stats
 
 
+class TestWorkerChunks:
+    """A size block of 6561 interpretations (A, B, C and role r, n = 2,
+    q = 2) cut by the budget to a span that ``--jobs 2`` splits into
+    chunks of 2048: the aggregated scan equals the oracle's."""
+
+    KB = WeightedKB(logic=GODEL, concepts=("A", "B", "C"), roles=("r",),
+                    tbox=(Inclusion(And(B, C), B, Cmp.GE, F(1)),))
+
+    @pytest.mark.parametrize("goal, budget", [
+        # valid on one element; first countermodel at index 2917 of n = 2,
+        # in the second chunk
+        (Inclusion(Exists("r", A), Forall("r", A), Cmp.GE, F(1)), 81 + 6000),
+        # valid: the budget runs out inside the third chunk
+        (Inclusion(And(A, Exists("r", B)), A, Cmp.GE, F(1)), 81 + 5000),
+    ])
+    def test_pool_matches_the_oracle(self, monkeypatch, goal, budget):
+        import fuzzytyp.engine as engine
+        monkeypatch.setattr(engine, "POOL_MIN_SPAN", 8)
+        verdict = check_entailment_bounded(self.KB, goal, SearchConfig(
+            logic=GODEL, max_domain_size=2, denominator=2, budget=budget, jobs=2))
+        cm, examined, models, truncated = ref_scan(
+            self.KB, goal, GODEL, signature_for(self.KB, goal), 2, 2, "plain", budget)
+        assert (verdict.stats.examined, verdict.stats.models_found) == (examined, models)
+        if cm is None:
+            assert isinstance(verdict, NoCountermodel) and verdict.stats.truncated == truncated
+        else:
+            assert isinstance(verdict, Refuted) and verdict.countermodel == cm
+            assert examined > 81 + 2048
+
+
+@settings(max_examples=40, deadline=None)
+@given(threshold=st.fractions(min_value=0, max_value=1, max_denominator=120),
+       q=st.integers(1, 60))
+def test_threshold_numerator_is_the_reduced_product(threshold, q):
+    t = threshold_numerator(threshold, q)
+    assert t == threshold * q
+    assert type(t) is (int if (threshold * q).denominator == 1 else F)
+
+
 def _random_concept(rng: random.Random, depth: int, typ: bool = True):
     if depth == 0 or rng.random() < 0.35:
         return rng.choice([A, B, TOP, BOTTOM])
@@ -320,6 +363,24 @@ def _random_axiom(rng: random.Random):
     return RoleAssertion("r", "a", "a", cmp, t)
 
 
+def _random_kb(rng: random.Random, reuse_axiom: bool):
+    """A random KB over A, B, role r and individual a, with a weighted
+    table for A, and a goal: one of its axioms if ``reuse_axiom`` and
+    it has one, else a fresh random axiom."""
+    logic = rng.choice(list(LogicFamily))
+    axioms = [_random_axiom(rng) for _ in range(rng.randint(0, 2))]
+    table = tuple(WeightedTypicalityInclusion(
+        "A", _random_concept(rng, 1, typ=False), F(rng.randint(-5, 5), rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 2)))
+    kb = WeightedKB(logic=logic, concepts=("A", "B"), roles=("r",), individuals=("a",),
+                    distinguished=("A",),
+                    tbox=tuple(ax for ax in axioms if isinstance(ax, Inclusion)),
+                    abox=tuple(ax for ax in axioms if not isinstance(ax, Inclusion)),
+                    wtbox={"A": table})
+    goal = rng.choice(axioms) if axioms and reuse_axiom else _random_axiom(rng)
+    return kb, goal
+
+
 def test_scan_matches_brute_force_oracle():
     """Verdict, examined, models and the countermodel agree with a
     brute-force scan of the oracle, in plain and fm mode, on random
@@ -327,17 +388,8 @@ def test_scan_matches_brute_force_oracle():
     of the KB, so those scans run to completion or to the budget."""
     rng = random.Random(2024)
     for case in range(40):
-        logic = rng.choice(list(LogicFamily))
-        axioms = [_random_axiom(rng) for _ in range(rng.randint(0, 2))]
-        table = tuple(WeightedTypicalityInclusion(
-            "A", _random_concept(rng, 1, typ=False), F(rng.randint(-5, 5), rng.randint(1, 3)))
-            for _ in range(rng.randint(1, 2)))
-        kb = WeightedKB(logic=logic, concepts=("A", "B"), roles=("r",), individuals=("a",),
-                        distinguished=("A",),
-                        tbox=tuple(ax for ax in axioms if isinstance(ax, Inclusion)),
-                        abox=tuple(ax for ax in axioms if not isinstance(ax, Inclusion)),
-                        wtbox={"A": table})
-        goal = rng.choice(axioms) if axioms and case % 2 else _random_axiom(rng)
+        kb, goal = _random_kb(rng, reuse_axiom=case % 2)
+        logic = kb.logic
         q = rng.choice([1, 2, 3])
         for mode in ("plain", "fm"):
             config = SearchConfig(logic=logic, max_domain_size=2, denominator=q,
@@ -354,3 +406,30 @@ def test_scan_matches_brute_force_oracle():
             else:
                 assert isinstance(verdict, Refuted), where
                 assert verdict.countermodel == cm, where
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32), cuts=st.lists(st.integers(0, 2**16), max_size=4))
+def test_block_scanner_matches_the_oracle_on_any_chunking(seed, cuts):
+    """Each chunk [start, stop) of a size block, cut anywhere (the way
+    worker chunks and budgets cut it), reports the oracle's first
+    countermodel in it, indices examined and models seen."""
+    rng = random.Random(seed)
+    kb, goal = _random_kb(rng, reuse_axiom=rng.random() < 0.5)
+    mode = rng.choice(["plain", "fm"])
+    sig = signature_for(kb, goal)
+    for n, q in ((1, rng.choice([1, 2, 3])), (2, 1)):
+        question = Question(sig, kb.logic, q, kb.all_axioms(), goal,
+                            kb if mode == "fm" else None)
+        total = count_interpretations(sig, n, q)
+        # per index: 0 not a model, 1 a model where the goal holds, 2 a countermodel
+        ref = [0 if not ref_is_model(interp, kb, mode) else
+               1 if goal.cmp.apply(ref_axiom_degree(interp, goal), goal.threshold) else 2
+               for interp in ref_interpretations(kb.logic, sig.concepts, sig.roles,
+                                                 sig.individuals, n, q)]
+        bounds = sorted({0, total, *(c % (total + 1) for c in cuts)})
+        for start, stop in zip(bounds, bounds[1:]):
+            first = next((k for k in range(start, stop) if ref[k] == 2), None)
+            end = stop if first is None else first + 1
+            expected = (first, end - start, sum(1 for k in range(start, end) if ref[k]))
+            assert scan_block(question, n, start, stop) == expected, (n, start, stop)

@@ -2,16 +2,21 @@
 counterexample search, plus lifting the instance-level rules to
 the entailment level."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzytyp import cli
-from fuzzytyp.algebra import CONNECTIVES, LogicFamily
+from fuzzytyp.algebra import LogicFamily
 from fuzzytyp.engine import (
+    COUNTER,
+    NOT_A_MODEL,
     EnumSignature,
     NoCountermodel,
+    Question,
     SearchConfig,
     check_entailment_bounded,
     interpretation_of_digits,
@@ -26,8 +31,7 @@ from fuzzytyp.postulates import (
     ShapeBound,
     UncertifiedPremiseError,
     Violated,
-    _Instance,
-    _Limits,
+    _concept_candidates,
     _random_trials,
     catalog_oracle,
     certify_catalog_entry,
@@ -47,6 +51,7 @@ from fuzzytyp.syntax import (
     WeightedTypicalityInclusion,
     concept_to_text,
 )
+from oracle import ref_axiom_degree, ref_interpretations
 
 GODEL = LogicFamily.GODEL
 ZADEH = LogicFamily.ZADEH
@@ -198,6 +203,15 @@ class TestSearch:
         assert not verdict.stats.budget_exhausted
         assert verdict.stats.engaged > 0
 
+    def test_exhaustive_trials_are_the_budget_when_it_runs_out(self):
+        verdict = search_counterexample("AND1", GODEL, ShapeBound(max_depth=0),
+                                        max_domain_size=2, denominator=2, trials=10,
+                                        exhaustive=True)
+        assert isinstance(verdict, HoldsWithinBounds)
+        s = verdict.stats
+        assert s.budget_exhausted
+        assert s.trials == 10 == s.engaged + s.vacuous
+
     def test_verify_mode_reports_engagement(self):
         verdict = search_counterexample("AND1", ZADEH, max_domain_size=3, denominator=4,
                                         trials=800, seed=1)
@@ -212,6 +226,60 @@ class TestSearch:
         assert isinstance(a, Violated) and isinstance(b, Violated)
         assert a.interp == b.interp
         assert a.check.substitution == b.check.substitution
+
+
+def ref_exhaustive(postulate: str, logic: LogicFamily, shape: ShapeBound, max_n: int,
+                   q: int, budget: int):
+    """Brute force of exhaustive mode over the oracle: instantiations in
+    the search's small-first order, every grid interpretation of each
+    in stream order, at most ``budget`` examined.  Returns the first
+    (substitution, interpretation) whose premises hold and conclusion
+    fails, or None, and (trials, engaged, vacuous, uncertified,
+    budget exhausted)."""
+    schema = POSTULATES[postulate]
+    oracle = catalog_oracle(logic)
+    spent = engaged = vacuous = uncertified = 0
+    for values in itertools.product(list(_concept_candidates(shape)),
+                                    repeat=len(schema.metavars)):
+        subst = dict(zip(schema.metavars, values))
+        if schema.validity is not None:
+            kind, lvar, rvar = schema.validity
+            if not oracle(kind, subst[lvar], subst[rvar]):
+                uncertified += 1
+                continue
+        premises, conclusion = schema.premises(subst), schema.conclusion(subst)
+        for n in range(1, max_n + 1):
+            for interp in ref_interpretations(logic, shape.atoms, shape.roles, (), n, q):
+                if spent == budget:
+                    return None, (spent, engaged, vacuous, uncertified, True)
+                spent += 1
+                if not all(p.cmp.apply(ref_axiom_degree(interp, p), p.threshold)
+                           for p in premises):
+                    vacuous += 1
+                    continue
+                engaged += 1
+                if not conclusion.cmp.apply(ref_axiom_degree(interp, conclusion),
+                                            conclusion.threshold):
+                    return (subst, interp), (spent, engaged, vacuous, uncertified, False)
+    return None, (spent, engaged, vacuous, uncertified, False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(postulate=st.sampled_from(sorted(POSTULATES)), logic=st.sampled_from(list(LogicFamily)),
+       shape=st.sampled_from([ShapeBound(("P1", "P2"), (), 0), ShapeBound(("P1",), ("r",), 0),
+                              ShapeBound(("P1",), (), 1)]),
+       max_n=st.integers(1, 2), q=st.integers(1, 2), budget=st.integers(1, 400))
+def test_exhaustive_mode_is_the_brute_force(postulate, logic, shape, max_n, q, budget):
+    verdict = search_counterexample(postulate, logic, shape, max_domain_size=max_n,
+                                    denominator=q, trials=budget, exhaustive=True)
+    witness, counts = ref_exhaustive(postulate, logic, shape, max_n, q, budget)
+    s = verdict.stats
+    assert (s.trials, s.engaged, s.vacuous, s.uncertified, s.budget_exhausted) == counts
+    if witness is None:
+        assert isinstance(verdict, HoldsWithinBounds)
+    else:
+        assert isinstance(verdict, Violated)
+        assert (verdict.check.substitution, verdict.interp) == witness
 
 
 def render(verdict) -> list[str]:
@@ -298,7 +366,7 @@ GOLDEN = [
         'cm concept P1 e0 1/2',
     ]),
     (('LLE1', 'zadeh', 1, 2, 2, 3000, 0, True, ()), [
-        'stats 3001 1002 1998 11820 True',
+        'stats 3000 1002 1998 11820 True',
     ]),
     (('CM0', 'godel', 0, 2, 2, 40000, 0, True, ()), [
         'stats 5658 3706 1952 0 False',
@@ -378,24 +446,22 @@ def test_trial_check_agrees_with_check_instance(postulate, logic):
     interpretation."""
     schema = POSTULATES[postulate]
     oracle = catalog_oracle(logic)
-    ops = CONNECTIVES[logic]
     for seed, max_n, q, roles in ((0, 3, 2, ()), (1, 4, 3, ()), (2, 3, 6, ("r",))):
         shape = ShapeBound(roles=roles)
         sig = EnumSignature(shape.atoms, shape.roles)
-        limits = _Limits.of(schema, q)
-        trials = _random_trials(random.Random(seed), schema, shape, logic, sig, limits,
-                                max_n, q, 40)
-        for n, atoms, role_digits, inst in trials:
+        trials = _random_trials(random.Random(seed), schema, shape, logic, sig, max_n, q, 40)
+        for n, atoms, role_digits, subst, question in trials:
             interp = interpretation_of_digits(sig, logic, n, q, atoms, role_digits, {})
-            check = check_instance(interp, schema, oracle, **inst.subst)
-            fast = inst.check(limits, ops, q, n, atoms, role_digits)
-            assert fast == (not check.vacuous, check.holds), inst.subst
+            check = check_instance(interp, schema, oracle, **subst)
+            outcome = question.test(n, atoms, role_digits, {})
+            fast = (outcome != NOT_A_MODEL, outcome != COUNTER)
+            assert fast == (not check.vacuous, check.holds), subst
 
 
 def test_a_witness_check_instance_rejects_is_an_internal_error(monkeypatch, capsys):
     # AND1 holds in Godel, so no trial check_instance re-checks can be
     # a violation
-    monkeypatch.setattr(_Instance, "check", lambda self, *args: (True, False))
+    monkeypatch.setattr(Question, "test", lambda self, *args: COUNTER)
     with pytest.raises(InternalCheckError):
         search_counterexample("AND1", GODEL, trials=10)
     code = cli.main(["klm-test", "--postulate", "AND1", "--logic", "godel", "--trials", "10"])

@@ -3,8 +3,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fuzzytyp.algebra import LogicFamily
+from fuzzytyp.parser import parse_interpretation, parse_kb
 from fuzzytyp.syntax import (
     And,
     Atomic,
@@ -13,8 +15,10 @@ from fuzzytyp.syntax import (
     ConceptAssertion,
     Exists,
     Inclusion,
+    KBSyntaxError,
     NestedTypicalityError,
     Not,
+    NUMBER,
     Or,
     RoleAssertion,
     ThresholdRangeError,
@@ -25,6 +29,8 @@ from fuzzytyp.syntax import (
     concept_names,
     concept_to_text,
     contains_typ,
+    parse_integer,
+    parse_number,
     role_names,
     validate_kb,
 )
@@ -149,3 +155,43 @@ class TestValidation:
         kb = small_kb(tbox=(Inclusion(Exists("s", B), B, Cmp.GE, F(1)),))
         report = validate_kb(kb)
         assert any("undeclared role name 's'" in v.message for v in report)
+
+
+class TestNumberGrammar:
+    GOOD = [("0", F(0)), ("+1", F(1)), ("-3/6", F(-1, 2)), ("0.25", F(1, 4)), ("007", F(7))]
+    BAD = ["1e5", ".5", "5.", "1_0/2_0", "0e10000000", "\u0663", "1/0", "1.5/2", "inf",
+           " 1", "1 ", "1/-2", "--1", "0x10", "1" * 5000]
+
+    @pytest.mark.parametrize("text, value", GOOD)
+    def test_literals(self, text, value):
+        assert parse_number(text) == value
+
+    @given(st.from_regex(NUMBER, fullmatch=True))
+    def test_every_literal_reads_as_fraction_reads_it(self, text):
+        try:
+            expected = F(text.lstrip("+"))
+        except (ValueError, ZeroDivisionError):  # 1.5/2, 1/0
+            with pytest.raises(KBSyntaxError):
+                parse_number(text)
+        else:
+            assert parse_number(text) == expected
+
+    @pytest.mark.parametrize("text", BAD)
+    def test_anything_else_is_a_syntax_error(self, text):
+        with pytest.raises(KBSyntaxError, match="bad number"):
+            parse_number(text, 3, 7)
+
+    @pytest.mark.parametrize("text", BAD[:6])
+    def test_kb_and_interpretation_files_reject_the_same_words(self, text):
+        with pytest.raises(KBSyntaxError):
+            parse_kb(f"logic godel\nconcepts A\ntbox:\nA <= A >= {text}\n")
+        with pytest.raises(KBSyntaxError):
+            parse_interpretation(f"domain e0\nconcept A e0 {text}\n", LogicFamily.GODEL)
+
+    def test_integers_are_signed_digits(self):
+        assert [parse_integer(t) for t in ("12", "+1", "-1", "007")] == [12, 1, -1, 7]
+        for text in ("1.0", "1/1", "1_0", "\u0663", "", " 1", "1e2"):
+            with pytest.raises(KBSyntaxError, match="bad integer"):
+                parse_integer(text)
+        with pytest.raises(KBSyntaxError, match="bad number"):
+            parse_integer("1" * 5000)  # more digits than int() converts
