@@ -83,12 +83,15 @@ def _over(p, d: int):
     return p // d if p % d == 0 else Fraction(p, d)
 
 
-def _min(xs: list, ys: list, d: int) -> list:
-    return list(map(min, xs, ys))
+def pointwise_min(xs: list, ys: list, d: int = 0) -> list:
+    """min(a, b) at each position (a on ties, as ``min`` picks); a
+    comparison is cheaper than a call of the builtin."""
+    return [b if b < a else a for a, b in zip(xs, ys)]
 
 
-def _max(xs: list, ys: list, d: int) -> list:
-    return list(map(max, xs, ys))
+def pointwise_max(xs: list, ys: list, d: int = 0) -> list:
+    """max(a, b) at each position (a on ties, as ``max`` picks)."""
+    return [b if b > a else a for a, b in zip(xs, ys)]
 
 
 def _complement(xs: list, d: int) -> list:
@@ -143,8 +146,10 @@ class Connectives(NamedTuple):
 
 
 CONNECTIVES: dict[LogicFamily, Connectives] = {
-    LogicFamily.ZADEH: Connectives(_min, _max, _zadeh_implication, _complement),
-    LogicFamily.GODEL: Connectives(_min, _max, _godel_implication, _residual_negation),
+    LogicFamily.ZADEH: Connectives(pointwise_min, pointwise_max, _zadeh_implication,
+                                   _complement),
+    LogicFamily.GODEL: Connectives(pointwise_min, pointwise_max, _godel_implication,
+                                   _residual_negation),
     LogicFamily.LUKASIEWICZ: Connectives(_lukasiewicz_tnorm, _lukasiewicz_snorm,
                                          _lukasiewicz_implication, _complement),
     LogicFamily.PRODUCT: Connectives(_product_tnorm, _product_snorm,

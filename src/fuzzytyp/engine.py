@@ -17,15 +17,18 @@ streams, verdicts, and statistics, whatever the worker count.
 
 Every scan asks one compiled ``Question`` (axioms that make a model,
 a goal) of each index, on grid digits that one odometer steps in
-place; postulate instances are asked the same way (``postulates``).
+place, up to MAX_LANES consecutive indices (lanes) in one pass of the
+compiled program; postulate instances are asked the same way
+(``postulates``), one lane at a time.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import and_
 from typing import Iterator, Literal
 
 from fuzzytyp.algebra import CONNECTIVES, LogicFamily
@@ -109,20 +112,55 @@ def _decode(sig: EnumSignature, n: int, q: int, index: int
     return atoms, roles, element
 
 
-def _odometer(sig: EnumSignature, n: int, q: int, start: int, stop: int
-              ) -> Iterator[tuple[list[list[int]], list[list[list[int]]], dict[str, int]]]:
-    """The digits of indices start..stop-1 of the size-n block, laid out
-    as ``_decode`` returns them: the first index decoded, each next one
-    a step of the same lists in place (first digit fastest), so copy
-    whatever must outlive the next step."""
+#: Most interpretations (lanes) one pass of the compiled program tests
+#: at once; see ``_odometer``.
+MAX_LANES = 729
+
+
+def _odometer(sig: EnumSignature, n: int, q: int, start: int, stop: int, max_lanes: int = 1
+              ) -> Iterator[tuple[int, int, list[list[int]], list[list[list[int]]],
+                                  dict[str, int]]]:
+    """Indices start..stop-1 of the size-n block in passes: per pass
+    (its first index, its lane count L, atoms, roles, element).  A pass
+    covers every setting of the first k digit positions, L = (q+1)^k
+    consecutive indices, lane l being the pass's first index plus l.
+    Those positions are concept cells (they come first), so the lanes
+    share their role digits and individuals; ``atoms`` holds each
+    concept's digits of all lanes, lane l's element x at ``l*n + x``,
+    the layout ``interpretation.run`` evaluates.  k grows by one per
+    pass, up to the largest k with L <= max_lanes that starts the pass
+    on a multiple of L and ends it by ``stop``; with max_lanes 1 every
+    pass is one index and its atoms are the decoded rows.  The first
+    index is decoded, each next one a step of the same lists in place
+    (first digit fastest), so copy whatever must outlive the next step."""
     if start >= stop:
         return
-    digits = atoms, roles, element = _decode(sig, n, q, start)
+    base = q + 1
+    atoms, roles, element = _decode(sig, n, q, start)
     cells = [(row, i) for row in atoms + [row for block in roles for row in block]
              for i in range(n)]
-    yield digits
-    for _ in range(start + 1, stop):
-        for row, i in cells:
+    top = 0
+    while top < len(atoms) * n and base ** (top + 1) <= max_lanes:
+        top += 1
+    patterns: dict[int, list[list[int]]] = {}  # k -> the lane digits of the rows it reaches
+    index, k = start, -1
+    while True:
+        k = min(k + 1, top)
+        while index % base ** k or index + base ** k > stop:
+            k -= 1
+        lanes = base ** k
+        if k:
+            if k not in patterns:
+                patterns[k] = [[lane // base ** p % base for lane in range(lanes)
+                                for p in range(r * n, r * n + n)]
+                               for r in range(-(-k // n))]
+            yield index, lanes, _lane_rows(atoms, patterns[k], n, k, lanes), roles, element
+        else:
+            yield index, 1, atoms, roles, element
+        index += lanes
+        if index >= stop:
+            return
+        for row, i in cells[k:]:
             if row[i] < q:
                 row[i] += 1
                 break
@@ -133,7 +171,26 @@ def _odometer(sig: EnumSignature, n: int, q: int, start: int, stop: int
                     element[ind] = e + 1
                     break
                 element[ind] = 0
-        yield digits
+
+
+def _lane_rows(atoms: list[list[int]], patterns: list[list[int]], n: int, k: int, lanes: int
+               ) -> list[list[int]]:
+    """Each concept's digits over the lanes of a pass that varies the
+    first k positions: its lane pattern (0 past position k) with the
+    shared digits filled in, or, past position k, its row repeated."""
+    rows = []
+    for r, row in enumerate(atoms):
+        if r * n >= k:
+            rows.append(row * lanes)
+            continue
+        lane_row = patterns[r]
+        if any(row[k - r * n:]):
+            lane_row = lane_row[:]
+            for x in range(k - r * n, n):
+                if row[x]:
+                    lane_row[x::n] = [row[x]] * lanes
+        rows.append(lane_row)
+    return rows
 
 
 def interpretation_at(sig: EnumSignature, logic: LogicFamily, domain_size: int,
@@ -171,7 +228,8 @@ def enumerate_interpretations(sig: EnumSignature, config: SearchConfig
     valuations on the grid {0, 1/q, ..., 1}; sizes ascending."""
     q = config.denominator
     for n in range(1, config.max_domain_size + 1):
-        for atoms, roles, element in _odometer(sig, n, q, 0, count_interpretations(sig, n, q)):
+        for _, _, atoms, roles, element in _odometer(sig, n, q, 0,
+                                                     count_interpretations(sig, n, q)):
             yield interpretation_of_digits(sig, config.logic, n, q, atoms, roles, element)
 
 
@@ -279,41 +337,61 @@ class Question:
         self.nodes = program.nodes
 
     def test(self, n: int, atoms: list[list[int]], roles: list[list[list[int]]],
-             element: dict[str, int]) -> int:
-        """The question on the grid digits of one interpretation:
-        NOT_A_MODEL if an axiom fails or a preference is not faithful to
-        its table, else HOLDS or COUNTER as the goal does.  Nodes are
-        evaluated only as far as the checks reached need them."""
+             element: dict[str, int], lanes: int = 1) -> list[int]:
+        """The question on the grid digits of ``lanes`` interpretations
+        laid out as ``_odometer`` passes them (one when ``lanes`` is 1):
+        per lane NOT_A_MODEL if an axiom fails or a preference is not
+        faithful to its table, else HOLDS or COUNTER as the goal does.
+        Nodes are evaluated only as far as the checks reached need them,
+        so a pass stops once no lane is a model."""
         nodes, ops, q = self.nodes, self.ops, self.q
         vals: list[list] = []
+        model = [True] * lanes  # per lane: is it a model so far?
         for code, end, holds, t in self.checks:
-            run(nodes, end, vals, ops, q, n, atoms, roles)
-            if not holds(axiom_value(code, vals, ops, q, roles, element), t):
-                return NOT_A_MODEL
-        for slot, end, terms in self.tables:
-            run(nodes, end, vals, ops, q, n, atoms, roles)
+            run(nodes, end, vals, ops, q, n, atoms, roles, lanes)
+            degree = axiom_value(code, vals, ops, q, roles, element, n, lanes)
+            if lanes == 1:  # a postulate trial, or a pass of one index
+                if not holds(degree[0], t):
+                    return [NOT_A_MODEL]
+                continue
+            model = list(map(and_, model, map(holds, degree, repeat(t))))
+            if True not in model:
+                return [NOT_A_MODEL] * lanes
+        # one element has no preference to be faithful to
+        for slot, end, terms in self.tables if n > 1 else ():
+            run(nodes, end, vals, ops, q, n, atoms, roles, lanes)
             degrees = atoms[slot]
-            if not follows_preference(degrees, scaled_weights(degrees, vals, terms)):
-                return NOT_A_MODEL
+            for lane in compress(range(lanes), model):
+                lane_degrees = degrees[lane * n:lane * n + n]
+                model[lane] = follows_preference(
+                    lane_degrees, scaled_weights(lane_degrees, vals, terms, lane * n))
+            if True not in model:
+                return [NOT_A_MODEL] * lanes
         code, end, holds, t = self.goal
-        run(nodes, end, vals, ops, q, n, atoms, roles)
-        return HOLDS if holds(axiom_value(code, vals, ops, q, roles, element), t) else COUNTER
+        run(nodes, end, vals, ops, q, n, atoms, roles, lanes)
+        degree = axiom_value(code, vals, ops, q, roles, element, n, lanes)
+        outcomes = [NOT_A_MODEL] * lanes
+        for lane in compress(range(lanes), model):
+            outcomes[lane] = HOLDS if holds(degree[lane], t) else COUNTER
+        return outcomes
 
 
 def scan_block(question: Question, n: int, start: int, stop: int
                ) -> tuple[int | None, int, int]:
-    """Test indices [start, stop) of the size-n block in order; returns
+    """Test indices [start, stop) of the size-n block in order, up to
+    MAX_LANES of them in one pass of the compiled program; returns
     (index of the first countermodel or None, indices examined, models
     seen up to and including that index)."""
     test = question.test
     models = 0
-    digits = _odometer(question.sig, n, question.q, start, stop)
-    for k, (atoms, roles, element) in enumerate(digits, start):
-        outcome = test(n, atoms, roles, element)
-        if outcome:
-            models += 1
-            if outcome == COUNTER:
-                return k, k - start + 1, models
+    for index, lanes, atoms, roles, element in _odometer(question.sig, n, question.q,
+                                                         start, stop, MAX_LANES):
+        outcomes = test(n, atoms, roles, element, lanes)
+        if COUNTER in outcomes:
+            lane = outcomes.index(COUNTER)
+            models += lane + 1 - outcomes[:lane].count(NOT_A_MODEL)
+            return index + lane, index + lane - start + 1, models
+        models += lanes - outcomes.count(NOT_A_MODEL)
     return None, stop - start, models
 
 
@@ -339,6 +417,9 @@ def scan(question: Question, max_domain_size: int, budget: int, jobs: int = 1
             examined += seen
             models += m
         else:
+            # imported here: the pool's modules take about a tenth of the
+            # CLI's start-up, and only a pooled scan needs them
+            from concurrent.futures import ProcessPoolExecutor
             found = None
             chunk = max(2048, span // (jobs * 8))
             with ProcessPoolExecutor(max_workers=jobs) as pool:

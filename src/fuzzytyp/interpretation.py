@@ -13,8 +13,9 @@ into a hash-consed post-order node list, so equal subconcepts share one
 node id and the id is the cache key.  ``run`` evaluates the nodes over
 per-element lists of numerators over one denominator d, with the
 family's ``Connectives`` (see ``algebra``).  The bounded search engine
-runs a program directly on decoded grid digits (d = q); an interpretation
-object runs one on its own degrees scaled by their common denominator.
+runs a program directly on decoded grid digits (d = q), for many
+interpretations (lanes) in one pass; an interpretation object runs one
+on its own degrees scaled by their common denominator.
 Fractions appear only at the API, in the degrees returned below.
 """
 
@@ -27,7 +28,15 @@ from math import lcm
 from types import MappingProxyType
 from typing import Mapping
 
-from fuzzytyp.algebra import CONNECTIVES, Connectives, Degree, LogicFamily, ZERO
+from fuzzytyp.algebra import (
+    CONNECTIVES,
+    ZERO,
+    Connectives,
+    Degree,
+    LogicFamily,
+    pointwise_max,
+    pointwise_min,
+)
 from fuzzytyp.syntax import (
     And,
     Atomic,
@@ -125,12 +134,53 @@ class Program:
         raise TypeError(f"not an axiom: {axiom!r}")
 
 
+def _lanewise(reduce, vectors: list[list]) -> list:
+    """``reduce`` (min or max) across equal-length vectors, position by
+    position, keeping the first of equal values as ``reduce`` does."""
+    pointwise = pointwise_min if reduce is min else pointwise_max
+    v = vectors[0]
+    for w in vectors[1:]:
+        v = pointwise(v, w)
+    return v
+
+
+def _quantify(reduce, pair, rows: list[list], filler: list, d: int, n: int, lanes: int) -> list:
+    """A role quantifier in every lane: per element x, ``reduce`` over y
+    of ``pair(R(x, y), filler(y))``, R shared by the lanes."""
+    if lanes == 1:
+        return [reduce(pair(row, filler, d)) for row in rows]
+    cols = [filler[y::n] for y in range(n)]
+    v = [0] * (n * lanes)
+    for x, row in enumerate(rows):
+        v[x::n] = _lanewise(reduce, [pair([r] * lanes, col, d) for r, col in zip(row, cols)])
+    return v
+
+
+def _typical(sub: list, d: int, n: int, lanes: int) -> list:
+    """T(C) in every lane: d on the elements of maximal positive degree
+    in ``sub``, 0 elsewhere."""
+    if lanes == 1:
+        top = max(sub)
+        return [d if x == top else 0 for x in sub] if top > 0 else [0] * n
+    cols = [sub[y::n] for y in range(n)]
+    tops = _lanewise(max, cols)
+    v = [0] * (n * lanes)
+    for y, col in enumerate(cols):
+        v[y::n] = [d if x == top and top > 0 else 0 for x, top in zip(col, tops)]
+    return v
+
+
 def run(nodes: list[tuple], stop: int, vals: list[list], ops: Connectives, d: int, n: int,
-        atoms: list[list], roles: list[list[list]]) -> None:
+        atoms: list[list], roles: list[list[list]], lanes: int = 1) -> None:
     """Evaluate ``nodes[len(vals):stop]``, appending each node's list of
-    numerators over ``d``, one per element of the n-element domain.
-    ``atoms[slot]`` holds a concept name's numerators, ``roles[slot][x]``
-    the numerators of a role name's pairs (x, y) for every y."""
+    numerators over ``d``: for each of ``lanes`` interpretations over one
+    n-element domain, one per element, lane l's element x at ``l*n + x``.
+    ``atoms[slot]`` holds a concept name's numerators in that layout;
+    the lanes share their roles, ``roles[slot][x]`` holding the
+    numerators of a role name's pairs (x, y) for every y.  Elementwise
+    connectives run over all lanes at once; the quantifiers and
+    typicality reduce over the elements of each lane, over the strided
+    lane vectors ``v[y::n]`` when there is more than one lane."""
     tnorm, snorm, implication, negation = ops
     for i in range(len(vals), stop):
         op, a, b = nodes[i]
@@ -143,32 +193,33 @@ def run(nodes: list[tuple], stop: int, vals: list[list], ops: Connectives, d: in
         elif op == NOT:
             v = negation(vals[a], d)
         elif op == SOME:
-            filler = vals[b]
-            v = [max(tnorm(row, filler, d)) for row in roles[a]]
+            v = _quantify(max, tnorm, roles[a], vals[b], d, n, lanes)
         elif op == ALL:
-            filler = vals[b]
-            v = [min(implication(row, filler, d)) for row in roles[a]]
+            v = _quantify(min, implication, roles[a], vals[b], d, n, lanes)
         elif op == TYP:
-            sub = vals[a]
-            top = max(sub)
-            v = [d if x == top else 0 for x in sub] if top > 0 else [0] * n
+            v = _typical(vals[a], d, n, lanes)
         elif op == TOP:
-            v = [d] * n
+            v = [d] * (n * lanes)
         else:
-            v = [0] * n
+            v = [0] * (n * lanes)
         vals.append(v)
 
 
 def axiom_value(code: tuple, vals: list[list], ops: Connectives, d: int,
-                roles: list[list[list]], element: Mapping[str, int]):
-    """Numerator over ``d`` of a compiled axiom's degree; its nodes must
-    be evaluated.  ``element`` maps an individual to its element index."""
+                roles: list[list[list]], element: Mapping[str, int], n: int,
+                lanes: int = 1) -> list:
+    """Numerators over ``d`` of a compiled axiom's degree, one per lane
+    (laid out as ``run`` evaluates them); its nodes must be evaluated.
+    ``element`` maps an individual to its element index."""
     kind, a, b = code
     if kind == INCLUSION:
-        return min(ops.implication(vals[a], vals[b], d))
+        implied = ops.implication(vals[a], vals[b], d)
+        if lanes == 1:
+            return [min(implied)]
+        return _lanewise(min, [implied[x::n] for x in range(n)])
     if kind == CONCEPT_ASSERTION:
-        return vals[a][element[b]]
-    return roles[a][element[b[0]]][element[b[1]]]
+        return vals[a][element[b]::n]
+    return [roles[a][element[b[0]]][element[b[1]]]] * lanes
 
 
 class _Kernel:
@@ -191,6 +242,9 @@ class _Kernel:
         self.ops = CONNECTIVES[interp.logic]
         self.program = Program(interp.concept_names, interp.role_names)
         self.vals: list[list] = []
+        # (distinguished concept, its weighted inclusions) -> its scaled
+        # weight table (``weighted._scaled_table``)
+        self.tables: dict[tuple, tuple[list, list, int]] = {}
 
     def evaluate(self) -> list[list]:
         """Evaluate every node compiled so far; returns the node values."""
@@ -279,7 +333,7 @@ def axiom_degree(interp: FuzzyInterpretation, axiom: FuzzyAxiom) -> Degree:
     k = interp._kernel
     code = k.program.add_axiom(axiom)
     try:
-        return k.degree(axiom_value(code, k.evaluate(), k.ops, k.d, k.roles, k.element))
+        return k.degree(axiom_value(code, k.evaluate(), k.ops, k.d, k.roles, k.element, k.n)[0])
     except KeyError as exc:
         raise UndeclaredNameError(f"unbound individual {exc.args[0]!r}") from None
 

@@ -408,12 +408,13 @@ def _concept_candidates(shape: ShapeBound) -> Iterator[Concept]:
         level = level + fresh
 
 
-def _random_substitution(rng: random.Random, schema: PostulateSchema,
-                         shape: ShapeBound, logic: LogicFamily) -> dict[str, Concept]:
+def _random_substitution(rng: random.Random, schema: PostulateSchema, shape: ShapeBound,
+                         entries: list[CatalogEntry]) -> dict[str, Concept]:
+    """A drawn instantiation; an LLE/RW validity premise is built from
+    one of ``entries``, the catalog entries of its kind."""
     subst: dict[str, Concept] = {}
     if schema.validity is not None:
         _, lvar, rvar = schema.validity
-        entries = [e for e in valid_premise_catalog(logic) if e.kind == schema.validity[0]]
         entry = rng.choice(entries)
         fillers = [_random_concept(rng, shape, shape.max_depth - 1)
                    for _ in range(entry.arity)]
@@ -493,10 +494,12 @@ def _random_trials(rng: random.Random, schema: PostulateSchema, shape: ShapeBoun
     """(n, atoms, roles, substitution, question) of each seeded trial:
     digits and an instantiation drawn, and on every second trial the
     digits forced toward engaging the premises."""
+    entries = [e for e in valid_premise_catalog(logic)
+               if schema.validity is not None and e.kind == schema.validity[0]]
     for trial in range(trials):
         n = rng.randint(1, max_domain_size)
         atoms, roles = _sample_digits(rng, sig, n, q)
-        subst = _random_substitution(rng, schema, shape, logic)
+        subst = _random_substitution(rng, schema, shape, entries)
         question = Question(sig, logic, q, schema.premises(subst), schema.conclusion(subst))
         if trial % 2 == 1 and question.checks:
             _force(rng, question, n, atoms, roles)
@@ -583,7 +586,7 @@ def search_counterexample(postulate: str | PostulateSchema, logic: LogicFamily,
         if not _certified(schema, oracle, subst):
             uncertified += 1
             continue
-        outcome = question.test(n, atoms, roles, {})
+        outcome, = question.test(n, atoms, roles, {})
         if outcome == NOT_A_MODEL:
             vacuous += 1
             continue

@@ -45,11 +45,13 @@ def compile_table(program: Program, kb: WeightedKB, name: str
                    for incl in inclusions]
 
 
-def scaled_weights(degrees: list, vals: list[list], terms: list[tuple[int, int]]) -> list:
+def scaled_weights(degrees: list, vals: list[list], terms: list[tuple[int, int]],
+                   offset: int = 0) -> list:
     """Weights of every element from numerators over d: its weight times
     L*d for an element of positive degree, NEG_INF for the others.  The
-    scaling keeps the weights' order."""
-    return [sum(w * vals[node][x] for node, w in terms) if degree else NEG_INF
+    scaling keeps the weights' order.  The elements' node values start
+    at ``offset`` (a lane's first element, see ``interpretation.run``)."""
+    return [sum(w * vals[node][offset + x] for node, w in terms) if degree else NEG_INF
             for x, degree in enumerate(degrees)]
 
 
@@ -78,14 +80,20 @@ def follows_preference(degrees: list, weights: list, coherent: bool = False) -> 
 def _scaled_table(interp: FuzzyInterpretation, kb: WeightedKB, name: str
                   ) -> tuple[list, list, int]:
     """(degree numerators, scaled weights, weight denominator L*d) of
-    every domain element for one distinguished concept."""
+    every domain element for one distinguished concept, computed once
+    per interpretation and table."""
     k = interp._kernel
     slot = k.program.concept_slots.get(name)
     if slot is None:
         raise UndeclaredNameError(f"undeclared concept name {name!r}")
-    scale, terms = compile_table(k.program, kb, name)
-    degrees = k.atoms[slot]
-    return degrees, scaled_weights(degrees, k.evaluate(), terms), scale * k.d
+    key = (name, kb.weighted_inclusions(name))
+    table = k.tables.get(key)
+    if table is None:
+        scale, terms = compile_table(k.program, kb, name)
+        degrees = k.atoms[slot]
+        table = k.tables[key] = (degrees, scaled_weights(degrees, k.evaluate(), terms),
+                                 scale * k.d)
+    return table
 
 
 def _weight(scaled, denominator: int) -> ExtendedWeight:

@@ -13,6 +13,8 @@ from fuzzytyp.algebra import (
     implication,
     logic_from_name,
     negation,
+    pointwise_max,
+    pointwise_min,
     snorm,
     tnorm,
 )
@@ -177,3 +179,19 @@ class TestDegreeConversion:
         assert logic_from_name("GODEL") is LogicFamily.GODEL
         with pytest.raises(ValueError):
             logic_from_name("boolean")
+
+
+# numerators as the kernel holds them: ints on the grid, Fractions off it,
+# equal values of either type tying
+NUMERATOR = st.one_of(st.integers(0, 4), st.fractions(0, 4, max_denominator=3))
+
+
+@given(pairs=st.lists(st.tuples(NUMERATOR, NUMERATOR), max_size=12))
+def test_pointwise_min_and_max_pick_what_the_builtins_pick(pairs):
+    # the same object, so ties between an int and an equal Fraction
+    # resolve the way ``min`` and ``max`` resolve them
+    xs, ys = [a for a, _ in pairs], [b for _, b in pairs]
+    for pointwise, builtin in ((pointwise_min, min), (pointwise_max, max)):
+        picked = pointwise(xs, ys)
+        assert len(picked) == len(pairs)
+        assert all(p is b for p, b in zip(picked, map(builtin, xs, ys)))

@@ -12,7 +12,7 @@ import pytest
 
 from fuzzytyp.algebra import LogicFamily
 from fuzzytyp.cli import main
-from fuzzytyp.parser import MAX_NESTING
+from fuzzytyp.parser import MAX_NESTING, parse_kb
 from fuzzytyp.syntax import Atomic, Cmp, Inclusion, WeightedKB
 
 DATA = Path(__file__).parent / "data"
@@ -85,6 +85,24 @@ class TestCheckModel:
         code, _ = run(capsys, "check-model", PENGUIN_KB, PENGUIN_INT)
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("fint", ["fixture", "unfaithful"])
+    def test_computes_each_weight_table_once(self, capsys, monkeypatch, unfaithful_fint, fint):
+        # weights, faithfulness and coherence share one table per concept
+        import fuzzytyp.weighted as weighted
+        original = weighted.scaled_weights
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(weighted, "scaled_weights", counted)
+        path = PENGUIN_INT if fint == "fixture" else unfaithful_fint
+        code, _ = run(capsys, "check-model", PENGUIN_KB, path)
+        assert code == (0 if fint == "fixture" else 1)
+        kb = parse_kb((DATA / "penguin.fkb").read_text())
+        assert len(calls) == len(kb.distinguished) > 0
 
     def test_records_format(self, capsys):
         code, out = run(capsys, "--format", "records",

@@ -1,6 +1,7 @@
 """Enumeration counting, determinism, refutation soundness, budgets,
 and worker-pool equivalence."""
 
+import dataclasses
 import random
 from dataclasses import fields
 from fractions import Fraction as F
@@ -13,6 +14,7 @@ from fuzzytyp.algebra import LogicFamily
 from fuzzytyp.engine import (
     EnumSignature,
     NoCountermodel,
+    MAX_LANES,
     Question,
     Refuted,
     SearchConfig,
@@ -25,6 +27,8 @@ from fuzzytyp.engine import (
     signature_for,
     signature_of_axiom,
     threshold_numerator,
+    _decode,
+    _odometer,
 )
 from fuzzytyp.interpretation import is_model_strict, satisfies
 from fuzzytyp.parser import parse_axiom, parse_kb, serialize_interpretation
@@ -337,30 +341,34 @@ def test_threshold_numerator_is_the_reduced_product(threshold, q):
     assert type(t) is (int if (threshold * q).denominator == 1 else F)
 
 
-def _random_concept(rng: random.Random, depth: int, typ: bool = True):
+def _random_concept(rng: random.Random, depth: int, typ: bool = True,
+                    atoms: tuple = (A, B), role: str | None = "r"):
     if depth == 0 or rng.random() < 0.35:
-        return rng.choice([A, B, TOP, BOTTOM])
-    op = rng.choice(["not", "and", "or", "some", "all"] + (["typ"] if typ else []))
+        return rng.choice([*atoms, TOP, BOTTOM])
+    op = rng.choice(["not", "and", "or"] + (["some", "all"] if role else [])
+                    + (["typ"] if typ else []))
     if op == "typ":
-        return Typ(_random_concept(rng, depth - 1, typ=False))
+        return Typ(_random_concept(rng, depth - 1, False, atoms, role))
     if op == "not":
-        return Not(_random_concept(rng, depth - 1, typ))
+        return Not(_random_concept(rng, depth - 1, typ, atoms, role))
     if op in ("and", "or"):
-        pair = (_random_concept(rng, depth - 1, typ), _random_concept(rng, depth - 1, typ))
+        pair = (_random_concept(rng, depth - 1, typ, atoms, role),
+                _random_concept(rng, depth - 1, typ, atoms, role))
         return And(*pair) if op == "and" else Or(*pair)
-    filler = _random_concept(rng, depth - 1, typ)
-    return Exists("r", filler) if op == "some" else Forall("r", filler)
+    filler = _random_concept(rng, depth - 1, typ, atoms, role)
+    return Exists(role, filler) if op == "some" else Forall(role, filler)
 
 
-def _random_axiom(rng: random.Random):
+def _random_axiom(rng: random.Random, atoms: tuple = (A, B), role: str | None = "r"):
     cmp = rng.choice([Cmp.GE, Cmp.GE, Cmp.GT, Cmp.LE])
     t = F(rng.randint(0, 2), 2)
     kind = rng.random()
     if kind < 0.6:
-        return Inclusion(_random_concept(rng, 2), _random_concept(rng, 2), cmp, t)
-    if kind < 0.85:
-        return ConceptAssertion(_random_concept(rng, 2), "a", cmp, t)
-    return RoleAssertion("r", "a", "a", cmp, t)
+        return Inclusion(_random_concept(rng, 2, atoms=atoms, role=role),
+                         _random_concept(rng, 2, atoms=atoms, role=role), cmp, t)
+    if kind < 0.85 or role is None:
+        return ConceptAssertion(_random_concept(rng, 2, atoms=atoms, role=role), "a", cmp, t)
+    return RoleAssertion(role, "a", "a", cmp, t)
 
 
 def _random_kb(rng: random.Random, reuse_axiom: bool):
@@ -433,3 +441,110 @@ def test_block_scanner_matches_the_oracle_on_any_chunking(seed, cuts):
             end = stop if first is None else first + 1
             expected = (first, end - start, sum(1 for k in range(start, end) if ref[k]))
             assert scan_block(question, n, start, stop) == expected, (n, start, stop)
+
+
+#: Signatures small enough for the oracle whose size blocks pass through
+#: lane passes of every shape: (concepts, role or None, n, q).  With
+#: n = 2 or 3, a pass varying k positions covers whole rows and, when n
+#: does not divide k, the first cells of one more row.
+LANE_SHAPES = [
+    ((A, B, C), None, 2, 2),  # 3^6 * 2 = 1458: up to 729 lanes, all concept cells
+    ((A,), "r", 2, 2),        # 3^2 * 3^4 * 2 = 1458: lanes over A only, role shared
+    ((A, B, C), None, 3, 1),  # 2^9 * 3 = 1536: up to 512 lanes, rows cut at k = 1, 2, 4, ...
+    ((A, B), None, 3, 1),     # 2^6 * 3 = 192
+]
+
+
+@pytest.mark.parametrize("atoms, role, n, q", LANE_SHAPES)
+@pytest.mark.parametrize("max_lanes", [1, 9, MAX_LANES])
+def test_odometer_lanes_are_the_decoded_indices(atoms, role, n, q, max_lanes):
+    """Every lane of every pass holds the digits ``_decode`` gives its
+    index; the passes tile [start, stop) in order, each on a multiple
+    of its lane count, even when start and stop cut lane blocks."""
+    sig = EnumSignature(tuple(c.name for c in atoms), (role,) if role else (), ("a",))
+    total = count_interpretations(sig, n, q)
+    for start, stop in ((0, total), (5, total - 7), (total // 3 + 1, total // 2)):
+        index = start
+        shapes = set()
+        for first, lanes, lane_atoms, roles, element in _odometer(sig, n, q, start, stop,
+                                                                  max_lanes):
+            assert first == index and first % lanes == 0 and first + lanes <= stop
+            assert lanes <= max_lanes
+            shapes.add(lanes)
+            for lane in range(lanes):
+                atoms_at, roles_at, element_at = _decode(sig, n, q, first + lane)
+                assert [row[lane * n:lane * n + n] for row in lane_atoms] == atoms_at
+                assert (roles, element) == (roles_at, element_at)
+            index += lanes
+        assert index == stop
+        if start == 0:
+            # the whole block reaches the widest pass its concept cells allow
+            assert max(shapes) == max((q + 1) ** k for k in range(len(atoms) * n + 1)
+                                      if (q + 1) ** k <= max_lanes)
+
+
+def _lane_kb(rng: random.Random, atoms: tuple, role: str | None):
+    """A random KB over ``atoms``, ``role`` and individual a, with a
+    weighted table for A, and a goal (half the time one of its axioms)."""
+    logic = rng.choice(list(LogicFamily))
+    axioms = [_random_axiom(rng, atoms, role) for _ in range(rng.randint(0, 2))]
+    table = tuple(WeightedTypicalityInclusion(
+        "A", _random_concept(rng, 1, False, atoms, role),
+        F(rng.randint(-5, 5), rng.randint(1, 3))) for _ in range(rng.randint(1, 2)))
+    kb = WeightedKB(logic=logic, concepts=tuple(c.name for c in atoms),
+                    roles=(role,) if role else (), individuals=("a",), distinguished=("A",),
+                    tbox=tuple(ax for ax in axioms if isinstance(ax, Inclusion)),
+                    abox=tuple(ax for ax in axioms if not isinstance(ax, Inclusion)),
+                    wtbox={"A": table})
+    goal = (rng.choice(axioms) if axioms and rng.random() < 0.5
+            else _random_axiom(rng, atoms, role))
+    return kb, goal
+
+
+@settings(max_examples=16, deadline=None)
+@given(seed=st.integers(0, 2**32), cuts=st.lists(st.integers(0, 2**16), max_size=3))
+def test_lane_scan_matches_the_oracle_inside_lane_blocks(seed, cuts):
+    """``scan_block`` agrees with the oracle on size blocks scanned in
+    lane passes of up to MAX_LANES interpretations, whole and cut at
+    points inside lane blocks (one past a multiple of a power of q+1),
+    with individuals, assertions and, in fm mode, a weighted table."""
+    rng = random.Random(seed)
+    atoms, role, n, q = rng.choice(LANE_SHAPES)
+    kb, goal = _lane_kb(rng, atoms, role)
+    mode = rng.choice(["plain", "fm"])
+    sig = EnumSignature(kb.concepts, kb.roles, kb.individuals)  # every name, used or not
+    question = Question(sig, kb.logic, q, kb.all_axioms(), goal, kb if mode == "fm" else None)
+    total = count_interpretations(sig, n, q)
+    ref = [0 if not ref_is_model(interp, kb, mode) else
+           1 if goal.cmp.apply(ref_axiom_degree(interp, goal), goal.threshold) else 2
+           for interp in ref_interpretations(kb.logic, sig.concepts, sig.roles,
+                                             sig.individuals, n, q)]
+    inside = [(q + 1) ** rng.randint(1, 4) * rng.randint(1, 5) + 1 for _ in range(2)]
+    bounds = sorted({0, total, *(c % (total + 1) for c in cuts + inside)})
+    for start, stop in [(0, total), *zip(bounds, bounds[1:])]:
+        first = next((k for k in range(start, stop) if ref[k] == 2), None)
+        end = stop if first is None else first + 1
+        expected = (first, end - start, sum(1 for k in range(start, end) if ref[k]))
+        assert scan_block(question, n, start, stop) == expected, (start, stop)
+
+
+#: The penguin anchor: goal ``(and Yellow Black) <= Bot >= 1`` at q = 2,
+#: budget 40k: the whole n = 1 block, then 20317 indices of n = 2.
+#: Models per block: n = 1 5103 (Lukasiewicz 8019); n = 2 20317 in plain
+#: mode, 13190 in fm mode.
+@pytest.mark.parametrize("mode", ["plain", "fm"])
+@pytest.mark.parametrize("logic", list(LogicFamily), ids=str)
+def test_penguin_anchor_counts_are_pinned(penguin, logic, mode):
+    kb = dataclasses.replace(penguin, logic=logic)
+    goal = parse_axiom("(and Yellow Black) <= Bot >= 1", kb)
+    question = Question(signature_for(kb, goal), logic, 2, kb.all_axioms(), goal,
+                        kb if mode == "fm" else None)
+    one = 8019 if logic is LogicFamily.LUKASIEWICZ else 5103
+    two = 20317 if mode == "plain" else 13190
+    assert scan_block(question, 1, 0, 19683) == (None, 19683, one)
+    assert scan_block(question, 2, 0, 20317) == (None, 20317, two)
+    verdict = check_entailment_bounded(kb, goal, SearchConfig(
+        logic=logic, max_domain_size=2, denominator=2, budget=40_000, mode=mode))
+    assert isinstance(verdict, NoCountermodel)
+    assert (verdict.stats.examined, verdict.stats.models_found) == (40_000, one + two)
+    assert verdict.stats.truncated

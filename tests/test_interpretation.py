@@ -12,14 +12,18 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fuzzytyp.algebra import LogicFamily
+from fuzzytyp.algebra import CONNECTIVES, LogicFamily
 from fuzzytyp.engine import EnumSignature, random_interpretation
 from fuzzytyp.interpretation import (
     FuzzyInterpretation,
+    Program,
     axiom_degree,
+    axiom_value,
     eval_concept,
     is_model_strict,
+    run,
     satisfies,
     typical_elements,
 )
@@ -324,6 +328,42 @@ def test_kernel_matches_oracle(logic, q):
                         distinguished=("P",), wtbox={"P": table})
         for x in interp.domain:
             assert weight(interp, kb, "P", x) == ref_weight(interp, kb, "P", x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32), logic=st.sampled_from(list(LogicFamily)),
+       n=st.integers(1, 3), q=st.sampled_from([1, 2, 3, 6]), lanes=st.integers(2, 12))
+def test_lanes_evaluate_like_one_lane_runs(seed, logic, n, q, lanes):
+    """``run`` over L lanes (lane l's element x at l*n + x, the roles
+    shared) gives every node, and ``axiom_value`` every axiom, exactly
+    the values (types included) of L one-lane runs: quantifiers over a
+    role, T(...) with degree ties, and product's Fraction numerators."""
+    rng = random.Random(seed)
+    program = Program(SIG.concepts, SIG.roles)
+    c1, c2, c3 = (random_concept(rng, 3, allow_typ=True) for _ in range(3))
+    codes = [program.add_axiom(ax) for ax in (
+        Inclusion(c1, c2, Cmp.GE, F(1)), Inclusion(Typ(random_concept(rng, 2, False)), c3,
+                                                   Cmp.GT, F(0)),
+        ConceptAssertion(c3, "i", Cmp.GE, F(1, 2)), RoleAssertion("r", "i", "j", Cmp.LE, F(1)))]
+    # digits from a two-value palette per lane, so degrees tie often
+    per_lane = []
+    for _ in range(lanes):
+        palette = [rng.randint(0, q), rng.randint(0, q)]
+        per_lane.append([[rng.choice(palette) for _ in range(n)] for _ in SIG.concepts])
+    roles = [[[rng.randint(0, q) for _ in range(n)] for _ in range(n)] for _ in SIG.roles]
+    element = {"i": rng.randrange(n), "j": rng.randrange(n)}
+    ops = CONNECTIVES[logic]
+    atoms = [[digit for lane in per_lane for digit in lane[slot]]
+             for slot in range(len(SIG.concepts))]
+    vals: list[list] = []
+    run(program.nodes, len(program.nodes), vals, ops, q, n, atoms, roles, lanes)
+    degrees = [axiom_value(code, vals, ops, q, roles, element, n, lanes) for code in codes]
+    for lane, lane_atoms in enumerate(per_lane):
+        single: list[list] = []
+        run(program.nodes, len(program.nodes), single, ops, q, n, lane_atoms, roles)
+        assert repr([v[lane * n:lane * n + n] for v in vals]) == repr(single)
+        assert repr([d[lane] for d in degrees]) == repr(
+            [axiom_value(code, single, ops, q, roles, element, n)[0] for code in codes])
 
 
 class TestImmutability:

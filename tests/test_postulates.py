@@ -453,15 +453,33 @@ def test_trial_check_agrees_with_check_instance(postulate, logic):
         for n, atoms, role_digits, subst, question in trials:
             interp = interpretation_of_digits(sig, logic, n, q, atoms, role_digits, {})
             check = check_instance(interp, schema, oracle, **subst)
-            outcome = question.test(n, atoms, role_digits, {})
+            outcome, = question.test(n, atoms, role_digits, {})
             fast = (outcome != NOT_A_MODEL, outcome != COUNTER)
             assert fast == (not check.vacuous, check.holds), subst
+
+
+@pytest.mark.parametrize("postulate", ["LLE1", "RW0"])
+def test_premise_catalog_is_built_once_per_search(monkeypatch, postulate):
+    # once for the search's oracle, once for the trials' draws, however
+    # many trials there are
+    import fuzzytyp.postulates as postulates
+    calls = []
+
+    def counted(logic):
+        calls.append(logic)
+        return valid_premise_catalog(logic)
+
+    monkeypatch.setattr(postulates, "valid_premise_catalog", counted)
+    for trials in (5, 200):
+        calls.clear()
+        search_counterexample(postulate, GODEL, trials=trials, seed=3)
+        assert calls == [GODEL, GODEL]
 
 
 def test_a_witness_check_instance_rejects_is_an_internal_error(monkeypatch, capsys):
     # AND1 holds in Godel, so no trial check_instance re-checks can be
     # a violation
-    monkeypatch.setattr(Question, "test", lambda self, *args: COUNTER)
+    monkeypatch.setattr(Question, "test", lambda self, *args: [COUNTER])
     with pytest.raises(InternalCheckError):
         search_counterexample("AND1", GODEL, trials=10)
     code = cli.main(["klm-test", "--postulate", "AND1", "--logic", "godel", "--trials", "10"])

@@ -7,6 +7,7 @@ bird and 30 as a penguin, Opus 100 and 120, and bumping Reddy's penguin
 degree above Opus's breaks faithfulness on exactly one pair.
 """
 
+import dataclasses
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -250,6 +251,16 @@ class TestWeightMonotonicity:
         table = weight_table(birds, penguin)
         assert set(table) == {(c, e) for c in penguin.distinguished
                               for e in birds.domain}
+
+    def test_one_interpretation_weighs_each_kb_by_its_own_table(self, penguin, birds):
+        # an interpretation computes each weight table once, for the
+        # table's inclusions, not for the concept's name alone
+        doubled = {name: tuple(WeightedTypicalityInclusion(i.subject, i.consequent, 2 * i.weight)
+                               for i in incls) for name, incls in penguin.wtbox.items()}
+        kb2 = dataclasses.replace(penguin, wtbox=doubled)
+        first = weight_table(birds, penguin)
+        assert weight_table(birds, kb2) == {key: 2 * w for key, w in first.items()}
+        assert weight_table(birds, penguin) == first
 
 
 # numerators over any common denominator: ints on the grid, Fractions
